@@ -114,6 +114,44 @@ double DistanceAt(const Trajectory& q, const Trajectory& t, double time) {
   return Distance(*pq, *pt);
 }
 
+namespace {
+
+// Position along a trajectory at non-decreasing times, walking its segments
+// forward instead of binary-searching every time. At each time it picks the
+// segment Trajectory::SegmentAt would (the last one starting at or before
+// the time, clamped to the final segment), so every position is the same
+// Lerp of the same samples as PositionAt and bit-identical to it.
+class PositionCursor {
+ public:
+  // Positions the cursor for times >= `start`, which must satisfy
+  // t.start_time() <= start < t.end_time() (callers integrate over windows
+  // of positive duration inside the lifespan).
+  PositionCursor(const Trajectory& t, double start) : s_(t.samples()) {
+    MST_DCHECK(t.start_time() <= start && start < t.end_time());
+    // The segment starts at the last sample at or before `start`.
+    const auto after =
+        std::upper_bound(s_.begin(), s_.end(), start,
+                         [](double v, const TPoint& p) { return v < p.t; });
+    seg_ = static_cast<size_t>(after - s_.begin()) - 1;
+  }
+
+  Vec2 At(double time) {
+    while (seg_ + 2 < s_.size() && s_[seg_ + 1].t <= time) ++seg_;
+    return Lerp(s_[seg_], s_[seg_ + 1], time);
+  }
+
+  // End time of the segment the last At() used. After At(time) with
+  // time < end_time() it is the first sample time later than `time`: the
+  // trajectory's next cut.
+  double SegmentEnd() const { return s_[seg_ + 1].t; }
+
+ private:
+  const std::vector<TPoint>& s_;
+  size_t seg_ = 0;
+};
+
+}  // namespace
+
 DissimResult ComputeDissim(const Trajectory& q, const Trajectory& t,
                            const TimeInterval& period,
                            IntegrationPolicy policy) {
@@ -122,40 +160,32 @@ DissimResult ComputeDissim(const Trajectory& q, const Trajectory& t,
   DissimResult total;
   if (period.Duration() == 0.0) return total;
 
-  // Merge the two timestamp sequences restricted to the open period.
-  static thread_local std::vector<double> cuts;
-  cuts.clear();
-  cuts.reserve(q.size() + t.size() + 2);
-  cuts.push_back(period.begin);
-  for (const TPoint& s : q.samples()) {
-    if (s.t > period.begin && s.t < period.end) cuts.push_back(s.t);
-  }
-  for (const TPoint& s : t.samples()) {
-    if (s.t > period.begin && s.t < period.end) cuts.push_back(s.t);
-  }
-  cuts.push_back(period.end);
-  std::sort(cuts.begin(), cuts.end());
-
-  // Materialize every elementary interval's trinomial into a reused SoA
-  // batch, then integrate in one pass: IntegrateBatch reproduces the scalar
-  // per-interval accumulation bit-for-bit while letting the trapezoid values
-  // vectorize.
+  // The elementary intervals run between consecutive distinct cuts: the
+  // period bounds and every sample time of either trajectory strictly
+  // inside the period, in increasing order. Both cursors walk forward with
+  // the cuts, which are generated by merging the two sample sequences.
+  //
+  // Every interval's trinomial goes into a reused SoA batch, integrated in
+  // one pass: IntegrateBatch reproduces the scalar per-interval
+  // accumulation bit-for-bit while letting the trapezoid values vectorize.
   static thread_local TrinomialBatch batch;
   batch.Clear();
-  batch.Reserve(cuts.size());
-  std::optional<Vec2> q_prev = q.PositionAt(cuts.front());
-  std::optional<Vec2> t_prev = t.PositionAt(cuts.front());
-  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
-    const double t0 = cuts[i];
-    const double t1 = cuts[i + 1];
-    if (t1 <= t0) continue;  // duplicate timestamps
-    const std::optional<Vec2> q_next = q.PositionAt(t1);
-    const std::optional<Vec2> t_next = t.PositionAt(t1);
-    MST_DCHECK(q_prev && t_prev && q_next && t_next);
-    batch.Add(
-        DistanceTrinomial::Between(*q_prev, *q_next, *t_prev, *t_next, t1 - t0));
+  batch.Reserve(q.size() + t.size() + 2);
+  PositionCursor qc(q, period.begin);
+  PositionCursor tc(t, period.begin);
+  Vec2 q_prev = qc.At(period.begin);
+  Vec2 t_prev = tc.At(period.begin);
+  double t0 = period.begin;
+  while (t0 < period.end) {
+    const double t1 =
+        std::min({qc.SegmentEnd(), tc.SegmentEnd(), period.end});
+    const Vec2 q_next = qc.At(t1);
+    const Vec2 t_next = tc.At(t1);
+    batch.Add(DistanceTrinomial::Between(q_prev, q_next, t_prev, t_next,
+                                         t1 - t0));
     q_prev = q_next;
     t_prev = t_next;
+    t0 = t1;
   }
   total = IntegrateBatch(batch, policy);
   return total;
@@ -174,40 +204,29 @@ SegmentDissim SegmentDissimCore(const Trajectory& q, const TPoint& a,
   MST_CHECK(a.t <= window.begin && window.end <= b.t);
   MST_CHECK(q.Covers(window));
 
-  auto entry_pos = [&](double time) { return Lerp(a, b, time); };
-
-  // Called once per candidate leaf entry on the k-MST hot path: reuse the
-  // cuts scratch (reserve makes even a thread's first leaf allocation-free
-  // after warmup — at most q.size() interior samples + 2 endpoints) and
-  // route the per-interval integrals through the batch kernel (bit-for-bit
-  // identical to the scalar loop, see IntegrateBatch).
-  static thread_local std::vector<double> cuts;
-  cuts.clear();
-  cuts.reserve(q.size() + 2);
-  cuts.push_back(window.begin);
-  for (const TPoint& s : q.samples()) {
-    if (s.t > window.begin && s.t < window.end) cuts.push_back(s.t);
-  }
-  cuts.push_back(window.end);
-  // Query samples are already sorted; cuts is sorted by construction.
-
+  // Called once per candidate leaf entry on the k-MST hot path. The cuts
+  // are window.begin, q's samples strictly inside the window, and
+  // window.end; one binary search places the query cursor and the rest is
+  // a forward walk. The per-interval integrals go through the batch kernel
+  // (bit-for-bit identical to the scalar loop, see IntegrateBatch).
   static thread_local TrinomialBatch batch;
   batch.Clear();
-  batch.Reserve(cuts.size());
+  batch.Reserve(q.size() + 1);
   SegmentDissim out;
-  Vec2 q_prev = *q.PositionAt(cuts.front());
-  Vec2 e_prev = entry_pos(cuts.front());
+  PositionCursor qc(q, window.begin);
+  Vec2 q_prev = qc.At(window.begin);
+  Vec2 e_prev = Lerp(a, b, window.begin);
   out.dist_begin = Distance(q_prev, e_prev);
-  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
-    const double t0 = cuts[i];
-    const double t1 = cuts[i + 1];
-    if (t1 <= t0) continue;
-    const Vec2 q_next = *q.PositionAt(t1);
-    const Vec2 e_next = entry_pos(t1);
+  double t0 = window.begin;
+  while (t0 < window.end) {
+    const double t1 = std::min(qc.SegmentEnd(), window.end);
+    const Vec2 q_next = qc.At(t1);
+    const Vec2 e_next = Lerp(a, b, t1);
     batch.Add(
         DistanceTrinomial::Between(q_prev, q_next, e_prev, e_next, t1 - t0));
     q_prev = q_next;
     e_prev = e_next;
+    t0 = t1;
   }
   out.integral = IntegrateBatch(batch, policy);
   out.dist_end = Distance(q_prev, e_prev);

@@ -1,7 +1,6 @@
 #include "src/core/mst_search.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
 #include <set>
@@ -19,25 +18,40 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Best-first queue element; min-ordered by (mindist, tree, page) — the
+// `QueueEntry::box` value of an entry whose key is its exact MINDIST.
+constexpr uint32_t kExactKey = (1u << 30) - 1;
+
+// Best-first queue element; min-ordered by (key, tree, page) — the
 // tree/page tiebreak makes forest traversal deterministic (page ids of the
 // main and delta trees live in separate pagefiles, so they collide freely).
+//
+// A child is pushed keyed by a cheap lower bound of its MINDIST (the gap
+// between its MBB and the query footprint, FootprintMinDist) and keeps its
+// MBB in the search's box arena under `box`. The exact MinDist is computed
+// only when the entry reaches the top; if it exceeds the key the entry is
+// re-pushed with the exact key (`box` = kExactKey), otherwise it is
+// processed. Every key is <= its exact MINDIST and the order is total, so
+// entries are processed in exactly the order an all-exact queue would
+// process them, while most pushed entries never pay for a MinDist.
 struct QueueEntry {
-  double mindist;
+  double key;
   PageId page;
-  // Which tree `page` belongs to: 0 = main index, 1 = delta. Ties on
-  // mindist visit the main tree first.
-  uint8_t tree;
+  // Box-arena index of the entry's MBB, or kExactKey.
+  uint32_t box : 30;
+  // Which tree `page` belongs to: 0 = main index, 1 = delta. Ties on the
+  // key visit the main tree first.
+  uint32_t tree : 1;
   // Whether `page` is a leaf (known from the parent's level when pushed).
   // Leaf pops take the column-streaming read path; not part of the order.
-  bool leaf;
+  uint32_t leaf : 1;
 
   bool operator>(const QueueEntry& o) const {
-    if (mindist != o.mindist) return mindist > o.mindist;
+    if (key != o.key) return key > o.key;
     if (tree != o.tree) return tree > o.tree;
     return page > o.page;
   }
 };
+static_assert(sizeof(QueueEntry) == 16, "heap entries stay two words");
 
 // The "k-buffer": tracks, for every live candidate, an upper bound of its
 // true DISSIM (exact-side value for completed candidates, PESDISSIM for
@@ -115,31 +129,6 @@ class UpperBounds {
   std::unordered_map<TrajectoryId, double> current_;
 };
 
-// Spatial rectangle of the query's positions over `period` (the query is
-// piecewise linear, so boundary positions plus interior samples span it).
-struct Rect2 {
-  double xlo = kInf;
-  double ylo = kInf;
-  double xhi = -kInf;
-  double yhi = -kInf;
-};
-
-Rect2 QueryFootprint(const Trajectory& q, const TimeInterval& period) {
-  Rect2 r;
-  const auto add = [&r](const Vec2& p) {
-    r.xlo = std::min(r.xlo, p.x);
-    r.ylo = std::min(r.ylo, p.y);
-    r.xhi = std::max(r.xhi, p.x);
-    r.yhi = std::max(r.yhi, p.y);
-  };
-  add(*q.PositionAt(period.begin));
-  add(*q.PositionAt(period.end));
-  for (const TPoint& s : q.samples()) {
-    if (s.t > period.begin && s.t < period.end) add(s.p);
-  }
-  return r;
-}
-
 // Per-leaf batched scratch: query windows and DISSIM lower bounds for every
 // entry of one leaf, filled in a single pass over the columnar view.
 struct LeafBatchScratch {
@@ -164,7 +153,7 @@ struct LeafBatchScratch {
 // decisions while the sweep drops its per-entry sqrt (the bound's only
 // other consumer, the > 0 test, is square-invariant too).
 void ComputeLeafBatch(const LeafView& v, const TimeInterval& period,
-                      const Rect2& qbox, LeafBatchScratch* s) {
+                      const QueryFootprint& qbox, LeafBatchScratch* s) {
   const size_t n = static_cast<size_t>(v.count);
   s->wbegin.resize(n);
   s->wend.resize(n);
@@ -270,13 +259,15 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
                       std::greater<QueueEntry>>
       queue;
   if (!index_->empty()) {
-    queue.push({0.0, index_->root(), 0, index_->height() == 1});
+    queue.push({0.0, index_->root(), kExactKey, 0, index_->height() == 1});
     ++stats.heap_pushes;
   }
   if (delta != nullptr) {
-    queue.push({0.0, delta->root(), 1, delta->height() == 1});
+    queue.push({0.0, delta->root(), kExactKey, 1, delta->height() == 1});
     ++stats.heap_pushes;
   }
+  // MBBs of the entries still keyed by their footprint lower bound.
+  std::vector<Mbb3> boxes;
 
   std::unordered_map<TrajectoryId, CandidateList> valid;
   std::unordered_map<TrajectoryId, CandidateList> completed;
@@ -285,7 +276,7 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
   // Reused per-leaf scratch for the batched window/lower-bound pass; the
   // query's spatial footprint over the period is its fixed input.
   LeafBatchScratch batch;
-  const Rect2 query_box = QueryFootprint(query, period);
+  const QueryFootprint query_box = FootprintOf(query, period);
   // Sticky skip cache: exclusion, rejection and completion are monotone over
   // one search (ids only ever enter those states), so once an id skips it
   // skips for good. TB-tree leaves bundle consecutive segments of a single
@@ -299,15 +290,18 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
 
     // Heuristic 2: MINDISSIMINC termination. The quick first test
     // (MINDIST · period length) avoids scanning the Valid set on most pops,
-    // exactly as the paper describes at the end of §4.
+    // exactly as the paper describes at the end of §4. It runs on the key,
+    // before any exact MINDIST: MINDISSIMINC is non-decreasing in MINDIST,
+    // so a lower-bound key stops the search only where the exact key of the
+    // entry an all-exact queue would pop next stops it too.
     if (options.use_heuristic2) {
       const double kth = std::min(uppers.KthValue(), seed_bound);
       if (kth < kInf) {
-        double mindissiminc = top.mindist * period.Duration();
+        double mindissiminc = top.key * period.Duration();
         if (mindissiminc > kth) {
           for (const auto& [id, list] : valid) {
-            mindissiminc = std::min(mindissiminc,
-                                    list.OptDissimInc(top.mindist));
+            mindissiminc =
+                std::min(mindissiminc, list.OptDissimInc(top.key));
             if (mindissiminc <= kth) break;
           }
           if (mindissiminc > kth) {
@@ -318,15 +312,31 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
       }
     }
 
+    // A lower-bound key is replaced by the exact MINDIST before the entry
+    // is processed; a larger exact key sends it back into the queue.
+    if (top.box != kExactKey) {
+      const double exact = MinDist(query, boxes[top.box], period);
+      ++stats.mindist_evaluations;
+      if (exact > top.key) {
+        queue.push({exact, top.page, kExactKey, top.tree, top.leaf});
+        continue;
+      }
+    }
+
     // All page reads of this pop go to the tree the entry was pushed from.
     const TrajectoryIndex* const tree = top.tree == 0 ? index_ : delta;
 
     if (!top.leaf) {
       const NodeRef node = tree->ReadNode(top.page);
       for (const InternalEntry& e : node->internals) {
-        const double d = MinDist(query, e.mbb, period);
-        if (std::isinf(d)) continue;  // no temporal overlap with the period
-        queue.push({d, e.child, top.tree, node->level == 1});
+        // MINDIST is +inf (the child holds nothing relevant) exactly when
+        // its time extent misses the period, which the query covers.
+        if (period.Intersect(e.mbb.TimeExtent()).IsEmpty()) continue;
+        MST_DCHECK(boxes.size() < kExactKey);
+        queue.push({FootprintMinDist(query_box, e.mbb), e.child,
+                    static_cast<uint32_t>(boxes.size()), top.tree,
+                    node->level == 1});
+        boxes.push_back(e.mbb);
         ++stats.heap_pushes;
       }
       continue;
@@ -432,9 +442,7 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
       // Eager completion (extension): a contender on an index with a direct
       // trajectory access path gets its remaining segments through the
       // chain right away. The chain is walked page by page through the
-      // columnar LeafView (zero repack) — pages are read in the same order
-      // FetchTrajectorySegments would read them, so the logical and
-      // physical I/O accounting is unchanged, but no entry vector is ever
+      // columnar LeafView (zero repack): no entry vector is ever
       // materialized and out-of-period segments cost two column loads.
       // In forest mode the chain covers only this tree's segments of the
       // trajectory; coverage-based completion stays correct (the candidate
@@ -444,18 +452,6 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
         if (static_cast<int>(uppers.size()) <= options.k ||
             list.OptDissim(vmax) <= kth) {
           PageId chain = tree->TrajectoryChainHead(id);
-          if (chain == kInvalidPageId) {
-            // Direct-path index without a chain-head hook: fall back to the
-            // materializing fetch.
-            for (const LeafEntry& seg : tree->FetchTrajectorySegments(id)) {
-              const TimeInterval w = period.Intersect(seg.TimeSpan());
-              if (w.Duration() <= 0.0 || list.CoversInterval(w)) continue;
-              const SegmentDissim sd =
-                  ComputeSegmentDissim(query, seg, w, options.policy);
-              list.AddPiece(w, sd.integral, sd.dist_begin, sd.dist_end);
-              ++stats.leaf_entries_seen;
-            }
-          }
           while (chain != kInvalidPageId) {
             const TrajectoryIndex::LeafPageRead link =
                 tree->ReadLeafColumns(chain);

@@ -35,6 +35,10 @@ struct MstStats {
   int64_t total_nodes = 0;
   int64_t leaf_entries_seen = 0;
   int64_t heap_pushes = 0;
+  /// Exact MINDIST evaluations. Entries are pushed keyed by a cheap lower
+  /// bound and pay for MinDist only when they reach the top of the queue,
+  /// so this is at most heap_pushes (roots are pushed with an exact key).
+  int64_t mindist_evaluations = 0;
   int64_t candidates_created = 0;
   int64_t candidates_completed = 0;
   int64_t candidates_rejected = 0;   // by Heuristic 1

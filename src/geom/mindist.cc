@@ -37,6 +37,30 @@ void AddCrossing(double v0, double v1, double dur, double bound,
   if (tau > 0.0 && tau < dur) taus->push(tau);
 }
 
+// Margin, relative to the coordinate magnitude, by which a rectangle of
+// query positions is inflated before its gap to a box is used as a lower
+// bound of MinDist. Interpolated positions and penalty differences round by
+// a few ulps (~1e-16) of the coordinates; 1e-9 covers that with a wide
+// safety factor and loosens the bound by a negligible amount.
+constexpr double kGapMargin = 1e-9;
+
+// Largest |coordinate| of the box's spatial rectangle.
+double BoxScale(const Mbb3& b) {
+  return std::max({std::abs(b.xlo), std::abs(b.xhi), std::abs(b.ylo),
+                   std::abs(b.yhi)});
+}
+
+// Distance between the rectangle [xlo, xhi] × [ylo, yhi], grown by `margin`
+// on every side, and the box's spatial rectangle; 0 when they meet.
+double InflatedGap(double xlo, double ylo, double xhi, double yhi,
+                   double margin, const Mbb3& b) {
+  const double dx =
+      std::max({b.xlo - (xhi + margin), (xlo - margin) - b.xhi, 0.0});
+  const double dy =
+      std::max({b.ylo - (yhi + margin), (ylo - margin) - b.yhi, 0.0});
+  return std::sqrt(dx * dx + dy * dy);
+}
+
 }  // namespace
 
 double PointRectDistance(Vec2 p, double xlo, double ylo, double xhi,
@@ -109,11 +133,34 @@ double MinDist(const Trajectory& q, const Mbb3& box,
     MST_DCHECK(p.has_value());
     return PointRectDistance(*p, box.xlo, box.ylo, box.xhi, box.yhi);
   }
-  for (size_t i = 0; i + 1 < q.size(); ++i) {
-    const TPoint& s0 = q.sample(i);
-    const TPoint& s1 = q.sample(i + 1);
+  // Segments overlapping the window run from the one ending at the first
+  // sample at or after window.begin to the last one starting at or before
+  // window.end — exactly the segments whose clipped sub-interval is
+  // non-empty, visited in the same order as a scan of all of them.
+  const std::vector<TPoint>& s = q.samples();
+  size_t i = static_cast<size_t>(
+      std::lower_bound(s.begin(), s.end(), window.begin,
+                       [](const TPoint& p, double v) { return p.t < v; }) -
+      s.begin());
+  if (i > 0) --i;
+  const double box_scale = BoxScale(box);
+  for (; i + 1 < s.size() && s[i].t <= window.end; ++i) {
+    const TPoint& s0 = s[i];
+    const TPoint& s1 = s[i + 1];
+    // Every position this segment contributes lies in its endpoint
+    // rectangle (up to interpolation rounding, which the margin absorbs),
+    // so when that rectangle is farther than `best` the segment's minimum
+    // is too and cannot lower `best`.
+    const double scale =
+        std::max({box_scale, std::abs(s0.p.x), std::abs(s0.p.y),
+                  std::abs(s1.p.x), std::abs(s1.p.y)});
+    if (InflatedGap(std::min(s0.p.x, s1.p.x), std::min(s0.p.y, s1.p.y),
+                    std::max(s0.p.x, s1.p.x), std::max(s0.p.y, s1.p.y),
+                    kGapMargin * scale, box) > best) {
+      continue;
+    }
     const TimeInterval sub = window.Intersect({s0.t, s1.t});
-    if (sub.IsEmpty()) continue;
+    MST_DCHECK(!sub.IsEmpty());
     const double d = sub.Duration();
     if (d == 0.0) {
       const Vec2 p = Lerp(s0, s1, sub.begin);
@@ -129,6 +176,28 @@ double MinDist(const Trajectory& q, const Mbb3& box,
     if (best <= 0.0) return 0.0;
   }
   return best;
+}
+
+QueryFootprint FootprintOf(const Trajectory& q, const TimeInterval& period) {
+  QueryFootprint f;
+  const auto add = [&f](const Vec2& p) {
+    f.xlo = std::min(f.xlo, p.x);
+    f.ylo = std::min(f.ylo, p.y);
+    f.xhi = std::max(f.xhi, p.x);
+    f.yhi = std::max(f.yhi, p.y);
+  };
+  add(*q.PositionAt(period.begin));
+  add(*q.PositionAt(period.end));
+  for (const TPoint& s : q.samples()) {
+    if (s.t > period.begin && s.t < period.end) add(s.p);
+    f.scale = std::max({f.scale, std::abs(s.p.x), std::abs(s.p.y)});
+  }
+  return f;
+}
+
+double FootprintMinDist(const QueryFootprint& f, const Mbb3& box) {
+  const double margin = kGapMargin * std::max(f.scale, BoxScale(box));
+  return InflatedGap(f.xlo, f.ylo, f.xhi, f.yhi, margin, box);
 }
 
 }  // namespace mst

@@ -7,6 +7,8 @@
 #ifndef MST_GEOM_MINDIST_H_
 #define MST_GEOM_MINDIST_H_
 
+#include <limits>
+
 #include "src/geom/interval.h"
 #include "src/geom/mbb.h"
 #include "src/geom/point.h"
@@ -30,9 +32,37 @@ double MovingPointRectMinDistance(Vec2 q0, Vec2 q1, double dur, double xlo,
 /// MINDIST(Q, N) of the paper: minimum distance between query trajectory `q`
 /// and box `box` over period ∩ box.TimeExtent() ∩ q.Lifespan(). Returns
 /// +infinity when that triple intersection is empty (the node holds nothing
-/// relevant to the query period).
+/// relevant to the query period). Only the query segments overlapping that
+/// window are visited, and a segment whose endpoint rectangle already lies
+/// farther from the box than the running minimum is skipped; neither
+/// shortcut changes the returned value by a single bit.
 double MinDist(const Trajectory& q, const Mbb3& box,
                const TimeInterval& period);
+
+/// Spatial rectangle of a query's positions over a period (the query is
+/// piecewise linear, so its boundary positions plus interior samples span
+/// it), with the magnitude of the query's coordinates.
+struct QueryFootprint {
+  double xlo = std::numeric_limits<double>::infinity();
+  double ylo = std::numeric_limits<double>::infinity();
+  double xhi = -std::numeric_limits<double>::infinity();
+  double yhi = -std::numeric_limits<double>::infinity();
+  /// Largest |coordinate| over all of the query's samples: the scale of the
+  /// rounding error in any position interpolated along the query.
+  double scale = 0.0;
+};
+
+/// Footprint of `q` over `period`. Requires q.Covers(period).
+QueryFootprint FootprintOf(const Trajectory& q, const TimeInterval& period);
+
+/// Cheap lower bound of MinDist(q, box, period) for a box that overlaps
+/// `period` in time, where `f` == FootprintOf(q, period): the spatial gap
+/// between the box and the footprint. The footprint is first inflated by a
+/// margin proportional to the coordinate magnitude, which absorbs the
+/// rounding of the positions MinDist interpolates (they can land a few ulps
+/// outside the rectangle), so the bound never exceeds the computed MinDist
+/// in floating point — even when the true gap is zero.
+double FootprintMinDist(const QueryFootprint& f, const Mbb3& box);
 
 }  // namespace mst
 

@@ -90,6 +90,7 @@ MstStats ScatterGatherSearch::AggregateShardStats(
     total.total_nodes += s.total_nodes;
     total.leaf_entries_seen += s.leaf_entries_seen;
     total.heap_pushes += s.heap_pushes;
+    total.mindist_evaluations += s.mindist_evaluations;
     total.candidates_created += s.candidates_created;
     total.candidates_completed += s.candidates_completed;
     total.candidates_rejected += s.candidates_rejected;

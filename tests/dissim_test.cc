@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/core/dissim.h"
+#include "src/core/dissim_batch.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
 
@@ -256,6 +261,192 @@ TEST(SegmentDissimTest, WindowClipsSegment) {
   EXPECT_NEAR(sd.integral.value, 3.0 * 2.0, 1e-12);
   EXPECT_DOUBLE_EQ(sd.dist_begin, 3.0);
   EXPECT_DOUBLE_EQ(sd.dist_end, 3.0);
+}
+
+// ComputeDissim as a sorted merge of both trajectories' timestamps with one
+// PositionAt binary search per cut and trajectory: the bitwise reference.
+DissimResult ReferenceDissim(const Trajectory& q, const Trajectory& t,
+                             const TimeInterval& period,
+                             IntegrationPolicy policy) {
+  std::vector<double> cuts{period.begin};
+  for (const TPoint& s : q.samples()) {
+    if (s.t > period.begin && s.t < period.end) cuts.push_back(s.t);
+  }
+  for (const TPoint& s : t.samples()) {
+    if (s.t > period.begin && s.t < period.end) cuts.push_back(s.t);
+  }
+  cuts.push_back(period.end);
+  std::sort(cuts.begin(), cuts.end());
+  TrinomialBatch batch;
+  Vec2 q_prev = *q.PositionAt(cuts.front());
+  Vec2 t_prev = *t.PositionAt(cuts.front());
+  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+    if (cuts[i + 1] <= cuts[i]) continue;  // duplicate timestamps
+    const Vec2 q_next = *q.PositionAt(cuts[i + 1]);
+    const Vec2 t_next = *t.PositionAt(cuts[i + 1]);
+    batch.Add(DistanceTrinomial::Between(q_prev, q_next, t_prev, t_next,
+                                         cuts[i + 1] - cuts[i]));
+    q_prev = q_next;
+    t_prev = t_next;
+  }
+  return IntegrateBatch(batch, policy);
+}
+
+// ComputeSegmentDissim with one PositionAt binary search per query cut: the
+// bitwise reference.
+SegmentDissim ReferenceSegmentDissim(const Trajectory& q, const LeafEntry& e,
+                                     const TimeInterval& window,
+                                     IntegrationPolicy policy) {
+  std::vector<double> cuts{window.begin};
+  for (const TPoint& s : q.samples()) {
+    if (s.t > window.begin && s.t < window.end) cuts.push_back(s.t);
+  }
+  cuts.push_back(window.end);
+  TrinomialBatch batch;
+  SegmentDissim out;
+  Vec2 q_prev = *q.PositionAt(cuts.front());
+  Vec2 e_prev = Lerp(e.Start(), e.End(), cuts.front());
+  out.dist_begin = Distance(q_prev, e_prev);
+  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+    const Vec2 q_next = *q.PositionAt(cuts[i + 1]);
+    const Vec2 e_next = Lerp(e.Start(), e.End(), cuts[i + 1]);
+    batch.Add(DistanceTrinomial::Between(q_prev, q_next, e_prev, e_next,
+                                         cuts[i + 1] - cuts[i]));
+    q_prev = q_next;
+    e_prev = e_next;
+  }
+  out.integral = IntegrateBatch(batch, policy);
+  out.dist_end = Distance(q_prev, e_prev);
+  return out;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+constexpr IntegrationPolicy kPolicies[] = {IntegrationPolicy::kTrapezoid,
+                                           IntegrationPolicy::kExact,
+                                           IntegrationPolicy::kAdaptive};
+
+// A time in [lo, hi]: a sample time of `q` in range half of the time, the
+// range's own ends now and then, uniform otherwise.
+double PickTime(Rng* rng, const Trajectory& q, double lo, double hi) {
+  const double u = rng->Uniform(0.0, 1.0);
+  if (u < 0.5) {
+    const TPoint& s = q.sample(rng->UniformIndex(q.size()));
+    if (s.t >= lo && s.t <= hi) return s.t;
+  }
+  if (u > 0.9) return u > 0.95 ? lo : hi;
+  return rng->Uniform(lo, hi);
+}
+
+// `q`'s timestamps with a random subset dropped and random extra times
+// added, fresh positions: a second trajectory sharing many timestamps with
+// q (duplicate cuts in the merge) over the same lifespan.
+Trajectory SharingTimestamps(Rng* rng, const Trajectory& q, TrajectoryId id) {
+  std::vector<double> times{q.start_time(), q.end_time()};
+  for (size_t i = 1; i + 1 < q.size(); ++i) {
+    if (rng->Uniform(0.0, 1.0) < 0.6) times.push_back(q.sample(i).t);
+  }
+  for (int i = 0; i < 5; ++i) {
+    times.push_back(rng->Uniform(q.start_time(), q.end_time()));
+  }
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  std::vector<TPoint> samples;
+  for (const double t : times) {
+    samples.push_back({t, {rng->Uniform(0, 10), rng->Uniform(0, 10)}});
+  }
+  return Trajectory(id, std::move(samples));
+}
+
+TEST(ComputeDissimTest, BitwiseEqualToPositionAtReference) {
+  Rng rng(79);
+  for (int trial = 0; trial < 600; ++trial) {
+    const int n = 2 + static_cast<int>(rng.UniformIndex(30));
+    const Trajectory q = RandomIrregularTrajectory(&rng, 1, n, 0.0, 10.0);
+    const Trajectory t =
+        trial % 2 == 0
+            ? SharingTimestamps(&rng, q, 2)
+            : RandomIrregularTrajectory(
+                  &rng, 2, 2 + static_cast<int>(rng.UniformIndex(30)), 0.0,
+                  10.0);
+    const double pb = PickTime(&rng, q, 0.0, 10.0);
+    const double pe = PickTime(&rng, trial % 3 == 0 ? t : q, pb, 10.0);
+    const TimeInterval period{pb, pe};
+    for (const IntegrationPolicy policy : kPolicies) {
+      const DissimResult want = ReferenceDissim(q, t, period, policy);
+      const DissimResult got = ComputeDissim(q, t, period, policy);
+      ASSERT_EQ(Bits(got.value), Bits(want.value)) << "trial " << trial;
+      ASSERT_EQ(Bits(got.error_bound), Bits(want.error_bound))
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(ComputeDissimTest, BitwiseEqualOnIdenticalSampleGrids) {
+  // Both trajectories sampled at the same instants: every interior cut is a
+  // duplicate in the merged sequence.
+  Rng rng(83);
+  for (int trial = 0; trial < 100; ++trial) {
+    const Trajectory q = RandomIrregularTrajectory(&rng, 1, 20, 0.0, 10.0);
+    std::vector<TPoint> samples = q.samples();
+    for (TPoint& s : samples) s.p = {rng.Uniform(0, 10), rng.Uniform(0, 10)};
+    const Trajectory t(2, std::move(samples));
+    const TimeInterval period{PickTime(&rng, q, 0.0, 5.0),
+                              PickTime(&rng, q, 5.0, 10.0)};
+    for (const IntegrationPolicy policy : kPolicies) {
+      const DissimResult want = ReferenceDissim(q, t, period, policy);
+      const DissimResult got = ComputeDissim(q, t, period, policy);
+      ASSERT_EQ(Bits(got.value), Bits(want.value)) << "trial " << trial;
+      ASSERT_EQ(Bits(got.error_bound), Bits(want.error_bound));
+    }
+  }
+}
+
+TEST(SegmentDissimTest, BitwiseEqualToPositionAtReference) {
+  Rng rng(89);
+  for (int trial = 0; trial < 1500; ++trial) {
+    const int n = 2 + static_cast<int>(rng.UniformIndex(30));
+    const Trajectory q = RandomIrregularTrajectory(&rng, 1, n, 0.0, 10.0);
+    // Segment endpoints and window edges land on query sample times, on
+    // the lifespan's ends, or anywhere in between.
+    const double t0 = PickTime(&rng, q, 0.0, 9.9);
+    const double t1 = PickTime(&rng, q, t0 + 0.05, 10.0);
+    const LeafEntry e =
+        LeafEntry::Of(7, {t0, {rng.Uniform(0, 10), rng.Uniform(0, 10)}},
+                      {t1, {rng.Uniform(0, 10), rng.Uniform(0, 10)}});
+    const double wb =
+        rng.Uniform(0.0, 1.0) < 0.5 ? t0 : PickTime(&rng, q, t0, t1);
+    const double we =
+        rng.Uniform(0.0, 1.0) < 0.5 ? t1 : PickTime(&rng, q, wb, t1);
+    if (we <= wb) continue;
+    const TimeInterval window{wb, we};
+    for (const IntegrationPolicy policy : kPolicies) {
+      const SegmentDissim want = ReferenceSegmentDissim(q, e, window, policy);
+      const SegmentDissim got = ComputeSegmentDissim(q, e, window, policy);
+      ASSERT_EQ(Bits(got.integral.value), Bits(want.integral.value))
+          << "trial " << trial;
+      ASSERT_EQ(Bits(got.integral.error_bound),
+                Bits(want.integral.error_bound));
+      ASSERT_EQ(Bits(got.dist_begin), Bits(want.dist_begin));
+      ASSERT_EQ(Bits(got.dist_end), Bits(want.dist_end));
+    }
+  }
+}
+
+TEST(SegmentDissimTest, WindowEndingAtQueryEndTime) {
+  Rng rng(97);
+  for (int trial = 0; trial < 100; ++trial) {
+    const Trajectory q = RandomIrregularTrajectory(&rng, 1, 12, 0.0, 10.0);
+    const double wb = PickTime(&rng, q, 0.0, 9.0);
+    const LeafEntry e = LeafEntry::Of(7, {wb, {1.0, 2.0}}, {10.0, {4.0, 3.0}});
+    const TimeInterval window{wb, q.end_time()};
+    for (const IntegrationPolicy policy : kPolicies) {
+      const SegmentDissim want = ReferenceSegmentDissim(q, e, window, policy);
+      const SegmentDissim got = ComputeSegmentDissim(q, e, window, policy);
+      ASSERT_EQ(Bits(got.integral.value), Bits(want.integral.value));
+      ASSERT_EQ(Bits(got.dist_end), Bits(want.dist_end));
+    }
+  }
 }
 
 }  // namespace

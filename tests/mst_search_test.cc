@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -9,6 +12,7 @@
 #include "src/core/mst_search.h"
 #include "src/gen/gstd.h"
 #include "src/index/rtree3d.h"
+#include "src/index/strtree.h"
 #include "src/index/tbtree.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
@@ -327,6 +331,322 @@ TEST(MstSearchEdgeDeathTest, RejectsBadArguments) {
   EXPECT_DEATH(searcher.Search(query, {0.0, 1.0}, options), "k must be");
   EXPECT_DEATH(searcher.Search(query, {0.0, 2.0}), "cover");
   EXPECT_DEATH(searcher.Search(query, {0.5, 0.5}), "duration");
+}
+
+}  // namespace
+}  // namespace mst
+
+namespace mst {
+namespace {
+
+// Traversal lock: per-query traversal counters and answers of seeded
+// queries on the 3D R-tree, the TB-tree (with and without eager
+// completion), the STR-tree and a main + delta forest, checked against a
+// golden table. The best-first queue's pop order decides every counter, so
+// the table pins that order: a change to how queue entries are keyed or
+// evaluated must leave it unchanged. On a mismatch the test prints the
+// observed table in source form; re-record it only for a change that is
+// meant to alter the traversal.
+struct TraversalRecord {
+  const char* config;
+  int query;
+  int64_t nodes_accessed;
+  int64_t leaf_entries_seen;
+  int64_t heap_pushes;
+  int64_t candidates_created;
+  int64_t candidates_completed;
+  int64_t candidates_rejected;
+  int64_t candidates_ineligible;
+  int64_t leaf_entries_pruned;
+  int64_t eager_completions;
+  bool terminated_by_heuristic2;
+  std::vector<TrajectoryId> ids;
+  std::vector<double> dissims;
+};
+
+const std::vector<TraversalRecord>& GoldenTraversals() {
+  static const std::vector<TraversalRecord> kGolden = {
+      // Recorded with all-exact MINDIST keys, before lazy keys.
+      {"rtree", 0, 6, 202, 28, 20, 2, 4, 0, 0, 0, true,
+       {62},
+       {0.0010224373677871681}},
+      {"rtree", 1, 61, 2452, 116, 70, 6, 34, 0, 0, 0, true,
+       {26, 11, 69, 6, 8},
+       {0.002926219114069312, 0.029398527089063625, 0.042215307410129493,
+        0.046465645870142305, 0.054091450208667381}},
+      {"rtree", 2, 122, 5341, 136, 80, 16, 60, 0, 0, 0, true,
+       {6, 8, 26, 39, 43, 74, 41, 36, 24, 77, 66, 42},
+       {0.0055578095126442651, 0.051530759838862648, 0.07996821107985215,
+        0.090745471281077877, 0.091533676678880099, 0.10031467792839935,
+        0.10116419421260568, 0.10990402739065257, 0.11494667709090622,
+        0.11536499988991239, 0.11641846607675002, 0.12134722944450915}},
+      {"rtree", 3, 10, 321, 40, 19, 1, 17, 0, 3, 0, true,
+       {76},
+       {0.0011036401780152849}},
+      {"rtree", 4, 64, 2608, 117, 74, 5, 44, 0, 0, 0, true,
+       {26, 11, 69, 6, 35},
+       {0.0034132524237517597, 0.031159304413598873, 0.034616759305948694,
+        0.045490166281542989, 0.049992975802434572}},
+      {"rtree", 5, 121, 5217, 143, 80, 17, 56, 0, 0, 0, true,
+       {69, 35, 30, 4, 57, 60, 68, 26, 11, 73, 15, 66},
+       {0.0053035062439547587, 0.063452342403361908, 0.096968735990582713,
+        0.10197982445452373, 0.10655794316315835, 0.10858552590976628,
+        0.11128601528321859, 0.11261702247811774, 0.11317808532681897,
+        0.11950862675049419, 0.12018472148263575, 0.12174301294506487}},
+      {"tbtree", 0, 22, 1368, 83, 19, 3, 16, 0, 0, 0, true,
+       {62},
+       {0.0010224373677871681}},
+      {"tbtree", 1, 65, 4464, 83, 62, 16, 46, 0, 0, 0, true,
+       {26, 11, 69, 6, 8},
+       {0.002926219114069312, 0.029398527089063625, 0.042215307410129493,
+        0.046465645870142305, 0.054091450208667381}},
+      {"tbtree", 2, 134, 6010, 164, 80, 16, 58, 0, 0, 0, true,
+       {6, 8, 26, 39, 43, 74, 41, 36, 24, 77, 66, 42},
+       {0.0055578095126442651, 0.051530759838862648, 0.07996821107985215,
+        0.090745471281077877, 0.091533676678880099, 0.10031467792839935,
+        0.10116419421260568, 0.10990402739065257, 0.11494667709090622,
+        0.11536499988991239, 0.11641846607675002, 0.12134722944450915}},
+      {"tbtree", 3, 63, 4248, 164, 32, 2, 29, 0, 16, 0, true,
+       {76},
+       {0.0011036401780152849}},
+      {"tbtree", 4, 110, 7632, 164, 66, 10, 45, 0, 0, 0, true,
+       {26, 11, 69, 6, 35},
+       {0.0034132524237517597, 0.031159304413598873, 0.034616759305948694,
+        0.045490166281542989, 0.049992975802434572}},
+      {"tbtree", 5, 73, 5040, 83, 70, 25, 45, 0, 0, 0, true,
+       {69, 35, 30, 4, 57, 60, 68, 26, 11, 73, 15, 66},
+       {0.0053035062439547587, 0.063452342403361908, 0.096968735990582713,
+        0.10197982445452373, 0.10655794316315835, 0.10858552590976628,
+        0.11128601528321859, 0.11261702247811774, 0.11317808532681897,
+        0.11950862675049419, 0.12018472148263575, 0.12174301294506487}},
+      {"tbtree_eager", 0, 73, 1623, 83, 19, 17, 2, 0, 0, 17, true,
+       {62},
+       {0.0010224373677871681}},
+      {"tbtree_eager", 1, 251, 6765, 83, 62, 62, 0, 0, 0, 62, true,
+       {26, 11, 69, 6, 8},
+       {0.002926219114069312, 0.029398527089063625, 0.042215307410129493,
+        0.046465645870142305, 0.054091450208667381}},
+      {"tbtree_eager", 2, 345, 10506, 164, 79, 79, 0, 0, 0, 79, true,
+       {6, 8, 26, 39, 43, 74, 41, 36, 24, 77, 66, 42},
+       {0.0055578095126442651, 0.051530759838862648, 0.07996821107985215,
+        0.090745471281077877, 0.091533676678880099, 0.10031467792839935,
+        0.10116419421260568, 0.10990402739065257, 0.11494667709090622,
+        0.11536499988991239, 0.11641846607675002, 0.12134722944450915}},
+      {"tbtree_eager", 3, 135, 4604, 164, 31, 24, 7, 0, 17, 24, true,
+       {76},
+       {0.0011036401780152849}},
+      {"tbtree_eager", 4, 308, 10074, 164, 66, 66, 0, 0, 0, 66, true,
+       {26, 11, 69, 6, 35},
+       {0.0034132524237517597, 0.031159304413598873, 0.034616759305948694,
+        0.045490166281542989, 0.049992975802434572}},
+      {"tbtree_eager", 5, 283, 9206, 83, 70, 70, 0, 0, 0, 70, true,
+       {69, 35, 30, 4, 57, 60, 68, 26, 11, 73, 15, 66},
+       {0.0053035062439547587, 0.063452342403361908, 0.096968735990582713,
+        0.10197982445452373, 0.10655794316315835, 0.10858552590976628,
+        0.11128601528321859, 0.11261702247811774, 0.11317808532681897,
+        0.11950862675049419, 0.12018472148263575, 0.12174301294506487}},
+      {"strtree", 0, 22, 1368, 83, 16, 2, 14, 0, 3, 0, true,
+       {62},
+       {0.0010224373677871681}},
+      {"strtree", 1, 67, 4464, 85, 62, 13, 49, 0, 0, 0, true,
+       {26, 11, 69, 6, 8},
+       {0.002926219114069312, 0.029398527089063625, 0.042215307410129493,
+        0.046465645870142305, 0.054091450208667381}},
+      {"strtree", 2, 135, 6010, 165, 80, 16, 59, 0, 0, 0, true,
+       {6, 8, 26, 39, 43, 74, 41, 36, 24, 77, 66, 42},
+       {0.0055578095126442651, 0.051530759838862648, 0.07996821107985215,
+        0.090745471281077877, 0.091533676678880099, 0.10031467792839935,
+        0.10116419421260568, 0.10990402739065257, 0.11494667709090622,
+        0.11536499988991239, 0.11641846607675002, 0.12134722944450915}},
+      {"strtree", 3, 64, 4248, 165, 31, 1, 28, 0, 17, 0, true,
+       {76},
+       {0.0011036401780152849}},
+      {"strtree", 4, 111, 7632, 165, 66, 9, 46, 0, 0, 0, true,
+       {26, 11, 69, 6, 35},
+       {0.0034132524237517597, 0.031159304413598873, 0.034616759305948694,
+        0.045490166281542989, 0.049992975802434572}},
+      {"strtree", 5, 75, 5040, 85, 70, 27, 43, 0, 0, 0, true,
+       {69, 35, 30, 4, 57, 60, 68, 26, 11, 73, 15, 66},
+       {0.0053035062439547587, 0.063452342403361908, 0.096968735990582713,
+        0.10197982445452373, 0.10655794316315835, 0.10858552590976628,
+        0.11128601528321859, 0.11261702247811774, 0.11317808532681897,
+        0.11950862675049419, 0.12018472148263575, 0.12174301294506487}},
+      {"forest", 0, 10, 504, 37, 31, 3, 12, 0, 5, 0, true,
+       {62},
+       {0.0010224373677871681}},
+      {"forest", 1, 49, 3096, 74, 80, 6, 59, 0, 0, 0, true,
+       {26, 11, 69, 6, 8},
+       {0.002926219114069312, 0.029398527089063625, 0.042215307410129493,
+        0.046465645870142305, 0.054091450208667381}},
+      {"forest", 2, 82, 5560, 87, 80, 17, 62, 0, 0, 0, true,
+       {6, 8, 26, 39, 43, 74, 41, 36, 24, 77, 66, 42},
+       {0.0055578095126442651, 0.051530759838862648, 0.07996821107985215,
+        0.090745471281077877, 0.091533676678880099, 0.10031467792839935,
+        0.10116419421260568, 0.10990402739065257, 0.11494667709090622,
+        0.11536499988991239, 0.11641846607675002, 0.12134722944450915}},
+      {"forest", 3, 12, 576, 38, 37, 2, 23, 0, 4, 0, true,
+       {76},
+       {0.0011036401780152849}},
+      {"forest", 4, 54, 3456, 74, 80, 6, 70, 0, 0, 0, true,
+       {26, 11, 69, 6, 35},
+       {0.0034132524237517597, 0.031159304413598873, 0.034616759305948694,
+        0.045490166281542989, 0.049992975802434572}},
+      {"forest", 5, 78, 5328, 87, 80, 16, 64, 0, 0, 0, true,
+       {69, 35, 30, 4, 57, 60, 68, 26, 11, 73, 15, 66},
+       {0.0053035062439547587, 0.063452342403361908, 0.096968735990582713,
+        0.10197982445452373, 0.10655794316315835, 0.10858552590976628,
+        0.11128601528321859, 0.11261702247811774, 0.11317808532681897,
+        0.11950862675049419, 0.12018472148263575, 0.12174301294506487}},
+  };
+  return kGolden;
+}
+
+void PrintRecord(const TraversalRecord& r) {
+  std::printf("      {\"%s\", %d, %" PRId64 ", %" PRId64 ", %" PRId64
+              ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64
+              ", %" PRId64 ", %" PRId64 ", %s,\n       {",
+              r.config, r.query, r.nodes_accessed, r.leaf_entries_seen,
+              r.heap_pushes, r.candidates_created, r.candidates_completed,
+              r.candidates_rejected, r.candidates_ineligible,
+              r.leaf_entries_pruned, r.eager_completions,
+              r.terminated_by_heuristic2 ? "true" : "false");
+  for (size_t i = 0; i < r.ids.size(); ++i) {
+    std::printf("%s%" PRId64, i == 0 ? "" : ", ", r.ids[i]);
+  }
+  std::printf("},\n       {");
+  for (size_t i = 0; i < r.dissims.size(); ++i) {
+    std::printf("%s%.17g", i == 0 ? "" : ", ", r.dissims[i]);
+  }
+  std::printf("}},\n");
+}
+
+TEST(MstTraversalLockTest, CountersAndAnswersMatchGoldenTable) {
+  GstdOptions opt;
+  opt.num_objects = 80;
+  opt.samples_per_object = 150;
+  opt.timestamp_jitter = 0.5;
+  opt.seed = 41;
+  const TrajectoryStore store = GenerateGstd(opt);
+
+  RTree3D rtree;
+  rtree.BuildFrom(store);
+  TBTree tbtree;
+  tbtree.BuildFrom(store);
+  STRTree strtree;
+  strtree.BuildFrom(store);
+  // Forest: the first half of every trajectory's segments in a packed main
+  // tree, the rest in a packed delta tree, as the ingest engine splits them.
+  std::vector<LeafEntry> main_entries;
+  std::vector<LeafEntry> delta_entries;
+  for (const Trajectory& t : store.trajectories()) {
+    for (size_t i = 0; i + 1 < t.size(); ++i) {
+      (2 * i < t.size() ? main_entries : delta_entries)
+          .push_back(LeafEntry::Of(t.id(), t.sample(i), t.sample(i + 1)));
+    }
+  }
+  RTree3D forest_main;
+  forest_main.BulkLoad(main_entries);
+  RTree3D forest_delta;
+  forest_delta.BulkLoad(delta_entries);
+
+  struct Config {
+    const char* name;
+    const TrajectoryIndex* index;
+    const TrajectoryIndex* delta;
+    bool eager;
+  };
+  const Config configs[] = {
+      {"rtree", &rtree, nullptr, false},
+      {"tbtree", &tbtree, nullptr, false},
+      {"tbtree_eager", &tbtree, nullptr, true},
+      {"strtree", &strtree, nullptr, false},
+      {"forest", &forest_main, &forest_delta, false},
+  };
+  constexpr int kQueries = 6;
+  constexpr int kKs[] = {1, 5, 12};
+  Rng rng(4242);
+  std::vector<Trajectory> queries;
+  for (int q = 0; q < kQueries; ++q) {
+    queries.push_back(MakeQuery(store, &rng, 0.1 + 0.15 * (q % 3)));
+  }
+
+  std::vector<TraversalRecord> observed;
+  for (const Config& c : configs) {
+    const BFMstSearch searcher(c.index, &store, nullptr, c.delta);
+    for (int q = 0; q < kQueries; ++q) {
+      MstOptions options;
+      options.k = kKs[q % 3];
+      options.use_eager_completion = c.eager;
+      MstStats st;
+      const std::vector<MstResult> got = searcher.Search(
+          queries[q], queries[q].Lifespan(), options, &st);
+      TraversalRecord r{c.name, q, st.nodes_accessed, st.leaf_entries_seen,
+                        st.heap_pushes, st.candidates_created,
+                        st.candidates_completed, st.candidates_rejected,
+                        st.candidates_ineligible, st.leaf_entries_pruned,
+                        st.eager_completions, st.terminated_by_heuristic2,
+                        {}, {}};
+      for (const MstResult& m : got) {
+        r.ids.push_back(m.id);
+        r.dissims.push_back(m.dissim);
+      }
+      observed.push_back(std::move(r));
+    }
+  }
+
+  const std::vector<TraversalRecord>& golden = GoldenTraversals();
+  bool same = golden.size() == observed.size();
+  for (size_t i = 0; same && i < golden.size(); ++i) {
+    const TraversalRecord& g = golden[i];
+    const TraversalRecord& o = observed[i];
+    same = std::string(g.config) == o.config && g.query == o.query &&
+           g.nodes_accessed == o.nodes_accessed &&
+           g.leaf_entries_seen == o.leaf_entries_seen &&
+           g.heap_pushes == o.heap_pushes &&
+           g.candidates_created == o.candidates_created &&
+           g.candidates_completed == o.candidates_completed &&
+           g.candidates_rejected == o.candidates_rejected &&
+           g.candidates_ineligible == o.candidates_ineligible &&
+           g.leaf_entries_pruned == o.leaf_entries_pruned &&
+           g.eager_completions == o.eager_completions &&
+           g.terminated_by_heuristic2 == o.terminated_by_heuristic2 &&
+           g.ids == o.ids && g.dissims.size() == o.dissims.size();
+    // Exact DISSIM goes through libm's asinh/sqrt: a relative 1e-12 keeps
+    // the table portable across math libraries while any change of which
+    // candidates are refined still shows.
+    for (size_t j = 0; same && j < g.dissims.size(); ++j) {
+      same = std::abs(g.dissims[j] - o.dissims[j]) <=
+             1e-12 * std::max(1.0, std::abs(g.dissims[j]));
+    }
+    EXPECT_TRUE(same) << "row " << i << " (" << o.config << ", query "
+                      << o.query << ") differs from the golden table";
+  }
+  if (!same) {
+    std::printf("Observed traversal table:\n");
+    for (const TraversalRecord& r : observed) PrintRecord(r);
+  }
+  EXPECT_EQ(golden.size(), observed.size());
+}
+
+TEST(MstTraversalLockTest, MindistEvaluationsBoundedByHeapPushes) {
+  GstdOptions opt;
+  opt.num_objects = 60;
+  opt.samples_per_object = 150;
+  opt.seed = 43;
+  const TrajectoryStore store = GenerateGstd(opt);
+  TBTree tree;
+  tree.BuildFrom(store);
+  const BFMstSearch searcher(&tree, &store);
+  Rng rng(4343);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Trajectory query = MakeQuery(store, &rng, 0.2);
+    MstOptions options;
+    options.k = 5;
+    MstStats stats;
+    searcher.Search(query, query.Lifespan(), options, &stats);
+    EXPECT_GT(stats.mindist_evaluations, 0);
+    EXPECT_LE(stats.mindist_evaluations, stats.heap_pushes);
+  }
 }
 
 }  // namespace

@@ -210,6 +210,7 @@ TEST_F(ScatterGatherTest, SingleShardMatchesUnshardedStatsExactly) {
     EXPECT_EQ(stats.nodes_accessed, expected_stats.nodes_accessed);
     EXPECT_EQ(stats.total_nodes, expected_stats.total_nodes);
     EXPECT_EQ(stats.heap_pushes, expected_stats.heap_pushes);
+    EXPECT_EQ(stats.mindist_evaluations, expected_stats.mindist_evaluations);
     EXPECT_EQ(stats.leaf_entries_seen, expected_stats.leaf_entries_seen);
     EXPECT_EQ(stats.candidates_created, expected_stats.candidates_created);
     EXPECT_EQ(stats.exact_recomputations,
@@ -235,16 +236,19 @@ TEST_F(ScatterGatherTest, StatsAggregateExactlyPerQueryAndShard) {
     ASSERT_EQ(per_shard.size(), 8u);
     int64_t nodes = 0;
     int64_t heap = 0;
+    int64_t mindist = 0;
     int64_t total_nodes = 0;
     int64_t recomputations = 0;
     for (const MstStats& s : per_shard) {
       nodes += s.nodes_accessed;
       heap += s.heap_pushes;
+      mindist += s.mindist_evaluations;
       total_nodes += s.total_nodes;
       recomputations += s.exact_recomputations;
     }
     EXPECT_EQ(total.nodes_accessed, nodes);
     EXPECT_EQ(total.heap_pushes, heap);
+    EXPECT_EQ(total.mindist_evaluations, mindist);
     EXPECT_EQ(total.total_nodes, total_nodes);
     EXPECT_EQ(total.exact_recomputations, recomputations);
     EXPECT_GT(total.nodes_accessed, 0);

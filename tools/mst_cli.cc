@@ -286,6 +286,11 @@ int CmdMst(int argc, char** argv) {
               static_cast<long long>(stats.nodes_accessed),
               static_cast<long long>(stats.total_nodes),
               100.0 * stats.PruningPower());
+  std::printf("%lld heap pushes, %lld exact MINDIST evaluations, "
+              "%lld leaf entries seen\n",
+              static_cast<long long>(stats.heap_pushes),
+              static_cast<long long>(stats.mindist_evaluations),
+              static_cast<long long>(stats.leaf_entries_seen));
   const NodeCache& cache = ctx.index->node_cache();
   if (cache.enabled()) {
     std::string encoded;
