@@ -15,17 +15,17 @@
 //    formats' pages are decoded in a tight loop over in-memory copies,
 //    isolating the codec from the query logic.
 //
-// 3. Cold-cache physical reads at one equal byte budget. The v2 tree gets a
-//    page-count LRU of B frames; the v3 tree gets the buffer's byte-budget
-//    mode with the same B*4096 bytes, under which a compressed frame is
-//    charged only its occupied bytes. Both buffers are dropped cold and the
-//    query set replayed once: the v3 leg keeps more leaves resident inside
-//    the same budget, so it re-reads fewer pages. This leg is where the
-//    compression pays — it is reported, not identity-gated (fewer physical
-//    reads are the point).
+// 3. Cold-cache physical reads at one equal buffer size. Both trees get a
+//    buffer of B pages, i.e. B*4096 bytes; the buffer charges every frame
+//    its occupied bytes, so a raw v2 frame costs the full 4 KB while a
+//    compressed v3 frame costs only its header and columns. Both buffers
+//    are dropped cold and the query set replayed: the v3 leg keeps more
+//    leaves resident inside the same budget, so it re-reads fewer pages.
+//    This leg is where the compression pays — it is reported, not
+//    identity-gated (fewer physical reads are the point).
 //
-// Warm passes are interleaved v2/v3 with best-of CPU time per mode, as in
-// bench_soa_leaf, to keep frequency drift from biasing either mode.
+// Warm passes are interleaved v2/v3 with best-of CPU time per mode, to keep
+// frequency drift from biasing either mode.
 
 #include <cinttypes>
 #include <cstdio>
@@ -364,11 +364,10 @@ int Main(int argc, char** argv) {
   // ---- Leg 3: cold-cache physical reads at one byte budget ------------
   // First measure the query set's cold working set: with the whole index
   // resident, one cold pass reads each distinct page exactly once. The
-  // shared budget is then a fraction of that working set, in bytes —
-  // identical for both legs, only the charging rule differs (whole frames
-  // vs occupied bytes). Sized between the two formats' footprints, the raw
-  // tree thrashes while the compressed one fits — which is exactly the
-  // regime the compression buys.
+  // shared budget is then a fraction of that working set — identical for
+  // both legs; only the frames' occupied bytes differ. Sized between the
+  // two formats' footprints, the raw tree thrashes while the compressed one
+  // fits — which is exactly the regime the compression buys.
   v2_index.buffer().SetCapacity(static_cast<size_t>(v2_index.NodeCount()));
   const int64_t working_set_pages =
       ColdPassReads(v2_index, store, query_set, options);
@@ -377,7 +376,6 @@ int Main(int argc, char** argv) {
                              buffer_fraction));
   v2_index.buffer().SetCapacity(budget_pages);
   v3_index.buffer().SetCapacity(budget_pages);
-  v3_index.buffer().SetByteBudgetMode(true);
   // Two passes: the first faults the working set in, the second measures
   // what the budget managed to retain.
   const int64_t cold_reads_v2 =
@@ -390,7 +388,6 @@ int Main(int argc, char** argv) {
                         : 0.0;
 
   // ---- Warm k-MST throughput (decode-bound: whole index resident) -----
-  v3_index.buffer().SetByteBudgetMode(false);
   v2_index.buffer().SetCapacity(static_cast<size_t>(v2_index.NodeCount()));
   v3_index.buffer().SetCapacity(static_cast<size_t>(v3_index.NodeCount()));
   PhaseResult v2;

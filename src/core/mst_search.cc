@@ -527,22 +527,8 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
   ResultCache* const rcache =
       (result_cache_ != nullptr && result_cache_->enabled()) ? result_cache_
                                                              : nullptr;
-  // Cost estimate fed to the cache's admission policy: the sample count the
-  // integrator walks — the query's samples inside the period plus the
-  // candidate's. Proportional to refinement time for every policy.
-  const auto samples_in_period = [&period](const Trajectory& t) -> double {
-    const auto& s = t.samples();
-    const auto lo = std::lower_bound(
-        s.begin(), s.end(), period.begin,
-        [](const TPoint& p, double v) { return p.t < v; });
-    const auto hi = std::upper_bound(
-        lo, s.end(), period.end,
-        [](double v, const TPoint& p) { return v < p.t; });
-    return static_cast<double>(hi - lo);
-  };
   QueryFingerprint fp;
   bool fp_ready = false;
-  double query_cost = 0.0;
   const auto refined_dissim = [&](TrajectoryId id,
                                   IntegrationPolicy policy) -> DissimResult {
     if (rcache == nullptr) {
@@ -550,7 +536,6 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
     }
     if (!fp_ready) {
       fp = FingerprintQuery(query);
-      query_cost = samples_in_period(query);
       fp_ready = true;
     }
     // Read the trajectory's write version BEFORE looking up / computing
@@ -566,9 +551,8 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
     const ResultCacheKey key{fp, id, period, policy};
     DissimResult d;
     if (rcache->Lookup(key, version, &d)) return d;
-    const Trajectory& candidate = store_->Get(id);
-    d = ComputeDissim(query, candidate, period, policy);
-    rcache->Insert(key, d, version, query_cost + samples_in_period(candidate));
+    d = ComputeDissim(query, store_->Get(id), period, policy);
+    rcache->Insert(key, d, version);
     return d;
   };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -149,32 +148,8 @@ bool ResultCache::Lookup(const ResultCacheKey& key, uint64_t write_version,
 }
 
 void ResultCache::Insert(const ResultCacheKey& key, const DissimResult& value,
-                        uint64_t write_version, double cost) {
+                         uint64_t write_version) {
   if (!enabled()) return;
-  bool skip = false;
-  if (adaptive_admission_.load(std::memory_order_relaxed)) {
-    if (std::isfinite(cost)) {
-      // Frugal-style streaming median: compare against the pre-update
-      // estimate, then nudge the estimate one step toward this cost. The
-      // read-modify-write is deliberately non-atomic across threads — a
-      // lost step only slows convergence of a pressure heuristic.
-      const double est = admission_estimate_.load(std::memory_order_relaxed);
-      skip = cost < est;
-      const double step = std::max(1.0, std::fabs(est) / 16.0);
-      if (cost > est) {
-        admission_estimate_.store(est + step, std::memory_order_relaxed);
-      } else if (cost < est) {
-        admission_estimate_.store(std::max(0.0, est - step),
-                                  std::memory_order_relaxed);
-      }
-    }
-  } else if (cost < min_admission_cost_.load(std::memory_order_relaxed)) {
-    skip = true;
-  }
-  if (skip) {
-    admission_skips_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   ResultCacheShard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);

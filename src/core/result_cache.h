@@ -28,7 +28,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -106,14 +105,9 @@ class ResultCache {
   /// Publishes a refinement computed while the trajectory's write version
   /// was `write_version` (read before the computation — the NodeCache
   /// observe-then-publish discipline). Overwrites any resident entry for
-  /// `key`. No-op while disabled. `cost` is the caller's estimate of what
-  /// the refinement cost to compute (BFMSTSearch passes the sample count
-  /// integrated over); entries cheaper than the admission threshold are not
-  /// inserted — a cheap integral is not worth an LRU slot that could evict
-  /// an expensive one. The default (+inf) always admits.
+  /// `key`. No-op while disabled.
   void Insert(const ResultCacheKey& key, const DissimResult& value,
-              uint64_t write_version,
-              double cost = std::numeric_limits<double>::infinity());
+              uint64_t write_version);
 
   /// Drops every cached entry. Used between experiment phases for a
   /// deliberately cold cache.
@@ -122,44 +116,6 @@ class ResultCache {
   /// Resizes the cache; 0 disables it and drops all entries. Shard count is
   /// fixed, so the effective floor of an enabled cache is one entry/shard.
   void SetCapacity(size_t capacity_entries);
-
-  /// Sets the admission threshold: Insert calls whose `cost` is strictly
-  /// below it are dropped (counted in admission_skips()). 0 — the default —
-  /// admits everything. Purely an eviction-pressure knob: lookups are
-  /// unaffected, so results stay byte-identical at any threshold (a skipped
-  /// insert only means the next identical refinement recomputes).
-  void SetMinAdmissionCost(double cost) {
-    min_admission_cost_.store(cost, std::memory_order_relaxed);
-  }
-
-  double min_admission_cost() const {
-    return min_admission_cost_.load(std::memory_order_relaxed);
-  }
-
-  /// Switches admission to an online threshold: a Frugal-style streaming
-  /// median estimate of the observed finite refine costs replaces the
-  /// hand-set SetMinAdmissionCost constant, so roughly the cheaper half of
-  /// refinements stops competing for LRU slots without anyone tuning a
-  /// number per workload. Each finite-cost Insert compares against the
-  /// pre-update estimate, then nudges it one step toward the new cost
-  /// (±max(1, estimate/16), clamped at 0). Infinite costs (the default
-  /// argument) always admit and never feed the estimator. The estimator is
-  /// intentionally racy (relaxed atomics; a lost update is one lost step) —
-  /// admission is a pressure heuristic, and the Lookup path is untouched,
-  /// so results stay byte-identical like the fixed threshold. Default off.
-  void SetAdaptiveAdmission(bool on) {
-    adaptive_admission_.store(on, std::memory_order_relaxed);
-  }
-
-  bool adaptive_admission() const {
-    return adaptive_admission_.load(std::memory_order_relaxed);
-  }
-
-  /// Current streaming-median cost estimate (diagnostics/tests); 0 until
-  /// the first finite-cost insert under adaptive admission.
-  double admission_cost_estimate() const {
-    return admission_estimate_.load(std::memory_order_relaxed);
-  }
 
   size_t capacity() const { return capacity_; }
   bool enabled() const { return capacity_ > 0; }
@@ -176,16 +132,10 @@ class ResultCache {
     return stale_drops_.load(std::memory_order_relaxed);
   }
 
-  /// Inserts dropped by the admission threshold.
-  int64_t admission_skips() const {
-    return admission_skips_.load(std::memory_order_relaxed);
-  }
-
   void ResetCounters() {
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
     stale_drops_.store(0, std::memory_order_relaxed);
-    admission_skips_.store(0, std::memory_order_relaxed);
   }
 
   /// Entries currently resident across all shards (diagnostics/tests).
@@ -209,13 +159,9 @@ class ResultCache {
 
   size_t capacity_;
   std::vector<std::unique_ptr<internal::ResultCacheShard>> shards_;
-  std::atomic<double> min_admission_cost_{0.0};
-  std::atomic<bool> adaptive_admission_{false};
-  std::atomic<double> admission_estimate_{0.0};
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
   mutable std::atomic<int64_t> stale_drops_{0};
-  mutable std::atomic<int64_t> admission_skips_{0};
 };
 
 }  // namespace mst

@@ -18,7 +18,7 @@ struct BufferFrame {
   bool dirty = false;
   int pins = 0;        // total outstanding guards
   int write_pins = 0;  // guards from PinMutable (Flush skips these frames)
-  size_t charge = 1;   // budget units this frame costs while resident
+  size_t charge = 0;   // bytes this frame costs while resident
 };
 
 struct BufferShard {
@@ -31,7 +31,7 @@ struct BufferShard {
   // lru.end(). Page ids are small dense integers, so this replaces a hash
   // lookup per pin — the hottest buffer operation — with an array index.
   std::vector<std::list<BufferFrame>::iterator> index;
-  size_t budget = 1;   // budget units this shard may keep resident
+  size_t budget = 0;   // bytes this shard may keep resident
   size_t charged = 0;  // sum of resident frames' charges
 
   std::list<BufferFrame>::iterator* Slot(PageId id, size_t shard_count) {
@@ -111,21 +111,18 @@ BufferShard& BufferManager::ShardFor(PageId id) const {
 }
 
 void BufferManager::AssignShardBudgets() {
-  // In byte mode the same per-shard split applies, just denominated in
-  // bytes: a shard may keep its share of capacity_ * kPageSize occupied
-  // bytes resident, so compressed pages pack more frames into it.
-  const size_t unit = byte_budget_ ? kPageSize : 1;
   const size_t n = shards_.size();
   for (size_t i = 0; i < n; ++i) {
     shards_[i]->budget =
-        std::max<size_t>(1, capacity_ / n + (i < capacity_ % n)) * unit;
+        std::max<size_t>(1, capacity_ / n + (i < capacity_ % n)) * kPageSize;
   }
 }
 
-size_t BufferManager::ChargeOf(const Page& page) const {
+size_t BufferManager::ChargeOf(const Page& page) {
   // PageOccupiedBytes covers every flavor: compressed v3 leaf and internal
-  // pages charge their payload, raw v1/v2 pages the full 4 KB.
-  return byte_budget_ ? PageOccupiedBytes(page) : 1;
+  // pages charge their payload, raw v1/v2 pages the full 4 KB — so a raw
+  // index evicts exactly like a page-count LRU of capacity_ frames.
+  return PageOccupiedBytes(page);
 }
 
 void BufferManager::EvictLocked(BufferShard& shard) {
@@ -272,21 +269,6 @@ void BufferManager::SetCapacity(size_t capacity_pages) {
   AssignShardBudgets();
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    EvictLocked(*shard);
-  }
-}
-
-void BufferManager::SetByteBudgetMode(bool enabled) {
-  if (byte_budget_ == enabled) return;
-  byte_budget_ = enabled;
-  AssignShardBudgets();
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->charged = 0;
-    for (BufferFrame& frame : shard->lru) {
-      frame.charge = ChargeOf(frame.page);
-      shard->charged += frame.charge;
-    }
     EvictLocked(*shard);
   }
 }

@@ -1,6 +1,13 @@
 // Write-back LRU buffer manager in front of a PageFile. The experiments run
 // with a buffer sized at 10 % of the index, capped at 1000 pages (§5).
 //
+// Sizing: a buffer of `capacity()` pages holds `capacity() × kPageSize`
+// bytes, and every resident frame is charged its page's occupied bytes
+// (PageOccupiedBytes). Raw v1/v2 pages occupy the full 4 KB, so a raw index
+// keeps exactly `capacity()` frames resident; a v3 compressed page charges
+// only its header and compressed columns, so the same buffer keeps
+// proportionally more of a compressed index resident.
+//
 // Concurrency model: the frame table is split into shards, each with its own
 // mutex and LRU list, so concurrent queries pin pages mostly without
 // contending. Callers access pages exclusively through reference-counted
@@ -88,8 +95,8 @@ class PageGuard {
 
 /// Sharded LRU page cache with reference-counted pins.
 ///
-/// Pages map to shards by `id % shard_count`; each shard owns
-/// `capacity / shard_count` frames (±1) and evicts independently, LRU-first,
+/// Pages map to shards by `id % shard_count`; each shard owns the bytes of
+/// `capacity / shard_count` pages (±1) and evicts independently, LRU-first,
 /// skipping pinned frames. When every frame of a shard is pinned the shard
 /// grows past its budget instead of failing — pins are short-lived, so the
 /// overshoot is transient.
@@ -130,20 +137,9 @@ class BufferManager {
   void Clear();
 
   /// Resizes the cache capacity, evicting LRU frames if shrinking. The shard
-  /// count is fixed at construction, so the effective floor is one frame per
+  /// count is fixed at construction, so the effective floor is one page per
   /// shard.
   void SetCapacity(size_t capacity_pages);
-
-  /// Switches between the classic page-count budget (every frame costs 1)
-  /// and a byte budget of `capacity() * kPageSize`, where a resident frame
-  /// is charged its page's *occupied* bytes. Uncompressed pages occupy the
-  /// full 4 KB, so page mode and byte mode are identical for them; v3
-  /// compressed leaves charge only header + compressed columns, so the same
-  /// budget keeps proportionally more of a compressed index resident. A
-  /// frame's charge is refreshed when a write pin drains.
-  void SetByteBudgetMode(bool enabled);
-
-  bool byte_budget_mode() const { return byte_budget_; }
 
   size_t capacity() const { return capacity_; }
 
@@ -183,17 +179,16 @@ class BufferManager {
   // Caller holds the shard mutex.
   void EvictLocked(internal::BufferShard& shard);
 
-  // Distributes capacity_ over the shards (±1 frame, min 1; scaled to bytes
-  // in byte-budget mode).
+  // Distributes capacity_ pages' worth of bytes over the shards (±1 page,
+  // min 1).
   void AssignShardBudgets();
 
-  // Budget units a resident `page` costs: 1 in page mode, occupied bytes in
-  // byte mode.
-  size_t ChargeOf(const Page& page) const;
+  // Bytes a resident `page` costs against its shard's budget; refreshed when
+  // a write pin drains.
+  static size_t ChargeOf(const Page& page);
 
   PageFile* file_;
   size_t capacity_;
-  bool byte_budget_ = false;
   std::vector<std::unique_ptr<internal::BufferShard>> shards_;
   std::atomic<int64_t> logical_reads_{0};
   std::atomic<int64_t> misses_{0};

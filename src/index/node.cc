@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "src/index/leaf_codec_v3.h"
 #include "src/index/node_codec_v3.h"
@@ -13,8 +14,8 @@ namespace {
 
 // v2 leaf-page header field offsets (see the layout comment in node.h).
 // Byte 0 is the level (0 for leaves), byte 1 the format version — the byte
-// that is provably 0 in every v1 page, where it holds the second byte of the
-// little-endian int32 level.
+// that is provably 0 in every v1 internal page, where it holds the second
+// byte of the little-endian int32 level.
 constexpr size_t kV2OffLevel = 0;
 constexpr size_t kV2OffVersion = 1;
 constexpr size_t kV2OffFlags = 2;
@@ -90,30 +91,6 @@ std::vector<LeafEntry> LeafColumns::ToVector() const {
   return out;
 }
 
-void LeafColumns::AssignFromAos(const uint8_t* src, int count) {
-  clear();
-  if (count == 0) return;
-  EnsureBlock();
-  LeafBlock& b = *block_;
-  for (int i = 0; i < count; ++i) {
-    LeafEntry e;
-    std::memcpy(&e, src + static_cast<size_t>(i) * kNodeEntrySize, sizeof(e));
-    b.t0[i] = e.t0;
-    b.x0[i] = e.x0;
-    b.y0[i] = e.y0;
-    b.t1[i] = e.t1;
-    b.x1[i] = e.x1;
-    b.y1[i] = e.y1;
-    b.traj_id[i] = e.traj_id;
-    if (i > 0 && (e.t0 < b.t0[i - 1] ||
-                  (e.t0 == b.t0[i - 1] && e.traj_id < b.traj_id[i - 1]))) {
-      sorted_ = false;
-    }
-    mbb_.Expand(Mbb3::OfSegment(e.Start(), e.End()));
-  }
-  count_ = count;
-}
-
 LeafBlock* LeafColumns::PrepareForDecode(int count, bool time_sorted,
                                          const Mbb3& bounds) {
   // Like AssignFromSoa, no re-zeroing: the v3 decoder writes every column
@@ -152,9 +129,8 @@ void IndexNode::EncodeTo(Page* page, LeafPageFormat leaf_format,
   if (IsLeaf() && leaf_format == LeafPageFormat::kV3Compressed) {
     if (EncodeLeafV3(*this, page)) return;
     // Incompressible leaf: the compressed columns don't fit the page, so
-    // degrade to the raw v2 layout. Decode dispatches on the version byte,
-    // so readers never notice.
-    leaf_format = LeafPageFormat::kV2Soa;
+    // degrade to the raw v2 layout below. Decode dispatches on the version
+    // byte, so readers never notice.
   }
 
   if (!IsLeaf() && internal_format == InternalPageFormat::kV3Compressed) {
@@ -163,7 +139,7 @@ void IndexNode::EncodeTo(Page* page, LeafPageFormat leaf_format,
     if (EncodeInternalV3(*this, page)) return;
   }
 
-  if (IsLeaf() && leaf_format == LeafPageFormat::kV2Soa) {
+  if (IsLeaf()) {  // v2 columnar leaf layout
     page->WriteAt<uint8_t>(kV2OffLevel, 0);
     page->WriteAt<uint8_t>(kV2OffVersion,
                            static_cast<uint8_t>(LeafPageFormat::kV2Soa));
@@ -186,25 +162,16 @@ void IndexNode::EncodeTo(Page* page, LeafPageFormat leaf_format,
     return;
   }
 
-  // v1 layout (internal nodes by default or as the incompressible fallback;
-  // leaves when explicitly requested).
+  // v1 internal layout (the default, and the incompressible fallback).
   page->WriteAt<int32_t>(0, level);
   page->WriteAt<int32_t>(4, count);
   page->WriteAt<PageId>(8, parent);
   page->WriteAt<PageId>(12, prev_leaf);
   page->WriteAt<PageId>(16, next_leaf);
   page->WriteAt<int32_t>(20, 0);
-  uint8_t* dst = page->bytes.data() + kHeaderSize;
-  if (IsLeaf()) {
-    for (int i = 0; i < count; ++i) {
-      const LeafEntry e = leaves[static_cast<size_t>(i)];
-      std::memcpy(dst + static_cast<size_t>(i) * kEntrySize, &e, sizeof(e));
-    }
-  } else {
-    if (count > 0) {
-      std::memcpy(dst, internals.data(),
-                  static_cast<size_t>(count) * kEntrySize);
-    }
+  if (count > 0) {
+    std::memcpy(page->bytes.data() + kHeaderSize, internals.data(),
+                static_cast<size_t>(count) * kEntrySize);
   }
 }
 
@@ -281,24 +248,55 @@ IndexNode IndexNode::Decode(const Page& page, PageId self) {
   }
   MST_CHECK_MSG(version == 0, "unknown node format version");
 
-  // v1 layout.
+  // v1 internal layout.
   node.level = page.ReadAt<int32_t>(0);
+  MST_CHECK_MSG(node.level >= 1, "unsupported v1 leaf page");
   const int32_t count = page.ReadAt<int32_t>(4);
   MST_CHECK_MSG(count >= 0 && count <= kCapacity, "corrupt node count");
   node.parent = page.ReadAt<PageId>(8);
   node.prev_leaf = page.ReadAt<PageId>(12);
   node.next_leaf = page.ReadAt<PageId>(16);
-  const uint8_t* src = page.bytes.data() + kHeaderSize;
-  if (node.IsLeaf()) {
-    node.leaves.AssignFromAos(src, count);
-  } else {
-    node.internals.resize(static_cast<size_t>(count));
-    if (count > 0) {
-      std::memcpy(node.internals.data(), src,
-                  static_cast<size_t>(count) * kEntrySize);
-    }
+  node.internals.resize(static_cast<size_t>(count));
+  if (count > 0) {
+    std::memcpy(node.internals.data(), page.bytes.data() + kHeaderSize,
+                static_cast<size_t>(count) * kEntrySize);
   }
   return node;
+}
+
+std::string ValidateNodePage(const Page& page) {
+  const uint8_t version = page.ReadAt<uint8_t>(kV2OffVersion);
+  if (version == static_cast<uint8_t>(LeafPageFormat::kV2Soa)) {
+    const int count = page.ReadAt<uint8_t>(kV2OffCount);
+    if (count > kNodeCapacity) {
+      return "corrupt v2 leaf page: entry count " + std::to_string(count) +
+             " exceeds the node capacity " + std::to_string(kNodeCapacity);
+    }
+    return "";
+  }
+  if (version == static_cast<uint8_t>(LeafPageFormat::kV3Compressed)) {
+    const std::string problem = ValidateV3LeafPage(page);
+    return problem.empty() ? "" : "corrupt v3 leaf page: " + problem;
+  }
+  if (version == kV3InternalVersion) {
+    const std::string problem = ValidateV3InternalPage(page);
+    return problem.empty() ? "" : "corrupt v3 internal page: " + problem;
+  }
+  if (version != 0) {
+    return "unsupported page format byte " + std::to_string(version);
+  }
+  const int32_t level = page.ReadAt<int32_t>(0);
+  if (level == 0) {
+    return "unsupported v1 (row-major) leaf page; rebuild the index with v2 "
+           "or v3 leaves";
+  }
+  if (level < 0) return "corrupt v1 internal page: negative level";
+  const int32_t count = page.ReadAt<int32_t>(4);
+  if (count < 0 || count > kNodeCapacity) {
+    return "corrupt v1 internal page: entry count " + std::to_string(count) +
+           " outside [0, " + std::to_string(kNodeCapacity) + "]";
+  }
+  return "";
 }
 
 }  // namespace mst

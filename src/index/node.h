@@ -1,13 +1,8 @@
 // On-page node format shared by the 3D R-tree and the TB-tree.
 //
-// A node occupies exactly one 4 KB page. Three leaf-page layouts exist:
+// A node occupies exactly one 4 KB page. Two leaf-page layouts exist:
 //
-//   v1 (AoS, legacy):  24-byte header (level, entry count, parent page, and —
-//                      for TB-tree leaves — prev/next leaf of the same
-//                      trajectory) followed by 56-byte row-major entries:
-//                      either internal entries (child MBB + child page) or
-//                      leaf entries (one trajectory line segment).
-//   v2 (SoA, current): 64-byte header (version byte, time-sorted flag, count,
+//   v2 (SoA, default): 64-byte header (version byte, time-sorted flag, count,
 //                      parent/prev/next pages, exact per-leaf MBB) followed
 //                      by column-major entry arrays at fixed offsets:
 //                      t0[72] x0[72] y0[72] t1[72] x1[72] y1[72] id[72].
@@ -22,21 +17,24 @@
 //                      Incompressible leaves degrade to plain v2 pages at
 //                      encode time.
 //
-// Internal nodes use the v1 layout by default, or a v3 compressed layout
+// Internal nodes use the v1 layout by default — a 24-byte header (level,
+// entry count, parent page, two unused page links) followed by 56-byte
+// row-major entries (child MBB + child page) — or a v3 compressed layout
 // (version byte 4; see src/index/node_codec_v3.h) when configured. Fanout is
 // (4096 − 24) / 56 = 72 entries at every level in every format — index sizes
 // and node-access counts are layout-independent, which keeps the paper's
 // Table 2 / Fig 8–10 metrics byte-identical across formats. (v3 deliberately
 // keeps the logical fanout at 72 too: the compression win is taken as
-// smaller resident frames in a byte-budgeted buffer pool, not as a larger
-// fanout, so tree shapes and access counts stay comparable across formats.)
+// smaller resident frames in the buffer pool, which charges each frame its
+// occupied bytes, not as a larger fanout, so tree shapes and access counts
+// stay comparable across formats.)
 //
-// Format discrimination: byte 1 of the page. v1 pages store the node level
-// there as the second byte of a little-endian int32 — always 0 for the tiny
-// tree heights involved — while v2/v3 leaf pages store the version value 2
-// or 3 and v3 internal pages store 4. (The codec, like the v1 entry memcpy
-// before it, assumes a little-endian host.) Old index files therefore load
-// unchanged through the v1 shim.
+// Format discrimination: byte 1 of the page. v1 internal pages store the node
+// level there as the second byte of a little-endian int32 — always 0 for the
+// tiny tree heights involved — while v2/v3 leaf pages store the version
+// value 2 or 3 and v3 internal pages store 4. (The codec assumes a
+// little-endian host.) Row-major v1 *leaf* pages are not supported:
+// ValidateNodePage names them, and Decode aborts on them.
 
 #ifndef MST_INDEX_NODE_H_
 #define MST_INDEX_NODE_H_
@@ -45,6 +43,7 @@
 #include <cstddef>
 #include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/geom/interval.h"
@@ -100,9 +99,8 @@ static_assert(sizeof(InternalEntry) == 56, "page layout depends on this size");
 static_assert(std::is_trivially_copyable_v<InternalEntry>);
 
 /// Which on-page layout EncodeTo emits for leaf nodes. Values equal the
-/// page's version byte. Internal nodes always use the v1 layout.
+/// page's version byte.
 enum class LeafPageFormat : uint8_t {
-  kV1Aos = 0,        ///< legacy row-major entries (still decoded via a shim)
   kV2Soa = 2,        ///< column-major entries (the default)
   kV3Compressed = 3, ///< compressed columns (src/index/leaf_codec_v3.h);
                      ///< incompressible leaves degrade to v2 pages
@@ -117,7 +115,7 @@ enum class InternalPageFormat : uint8_t {
                      ///< degrade to v1 pages
 };
 
-/// v1 header size / entry size and the per-node fanout both formats share.
+/// v1 header size / entry size and the per-node fanout every format shares.
 inline constexpr size_t kNodeHeaderV1Size = 24;
 inline constexpr size_t kNodeEntrySize = 56;
 inline constexpr int kNodeCapacity =
@@ -301,10 +299,6 @@ class LeafColumns {
   const_iterator begin() const { return {this, 0}; }
   const_iterator end() const { return {this, size()}; }
 
-  /// Fills the columns from `count` row-major v1 page entries (the decode
-  /// compatibility shim); recomputes the MBB and the sorted flag.
-  void AssignFromAos(const uint8_t* src, int count);
-
   /// Adopts a v2 page's column region verbatim (single memcpy) together
   /// with the header's precomputed metadata.
   void AssignFromSoa(const uint8_t* src, int count, bool time_sorted,
@@ -364,7 +358,8 @@ struct IndexNode {
                     InternalPageFormat::kV1Aos) const;
 
   /// Parses a node from `page`, dispatching on the page's format version;
-  /// `self` is recorded for convenience.
+  /// `self` is recorded for convenience. Aborts on a page ValidateNodePage
+  /// rejects.
   static IndexNode Decode(const Page& page, PageId self);
 };
 
@@ -374,6 +369,13 @@ struct IndexNode {
 /// columns directly. Stays valid for as long as the caller keeps the
 /// reference, independent of buffer eviction or cache invalidation.
 using NodeRef = std::shared_ptr<const IndexNode>;
+
+/// Structural validation of an untrusted page (index file loads): a known
+/// format byte, an entry count within the node capacity, no row-major v1
+/// leaf, and for v3 pages the full column checks of ValidateV3LeafPage /
+/// ValidateV3InternalPage. Empty string when the page decodes safely, else
+/// the first problem found, naming the page flavor.
+std::string ValidateNodePage(const Page& page);
 
 /// True when `page` holds a v2 columnar leaf (format-version byte check).
 bool IsV2LeafPage(const Page& page);

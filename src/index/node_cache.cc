@@ -1,13 +1,11 @@
 #include "src/index/node_cache.h"
 
 #include <algorithm>
-#include <cstring>
 #include <list>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
 
-#include "src/index/node_codec_v3.h"
 #include "src/util/check.h"
 
 namespace mst {
@@ -15,14 +13,8 @@ namespace internal {
 
 struct NodeCacheEntry {
   PageId id = kInvalidPageId;
-  // Exactly one of the two representations is set: `node` for the plain
-  // tier, `encoded` (the occupied prefix of a v3 page) for the compressed
-  // tier. shared_ptr so a hit can copy the handle under the lock and decode
-  // outside it, immune to a concurrent eviction.
   NodeRef node;
-  std::shared_ptr<const std::vector<uint8_t>> encoded;
-  size_t bytes = 0;   // resident-byte estimate, tracked in every mode
-  size_t charge = 1;  // units against the shard budget (1 or `bytes`)
+  size_t bytes = 0;  // PlainNodeBytes(*node), for resident_bytes()
 };
 
 struct NodeCacheShard {
@@ -34,8 +26,7 @@ struct NodeCacheShard {
   // across Clear/SetCapacity so a re-enabled cache cannot resurrect a node
   // decoded before an intervening write.
   std::unordered_map<PageId, uint64_t> versions;
-  size_t budget = 1;   // charge units this shard may keep resident
-  size_t charged = 0;  // summed charge of resident entries
+  size_t budget = 1;  // entries this shard may keep resident
 };
 
 }  // namespace internal
@@ -54,20 +45,6 @@ thread_local int64_t tls_misses = 0;
 uint64_t VersionLocked(const NodeCacheShard& shard, PageId id) {
   const auto it = shard.versions.find(id);
   return it == shard.versions.end() ? 0 : it->second;
-}
-
-// Decodes a compressed-tier entry: the encoded prefix is replayed into a
-// thread-local scratch page and run through the normal version-dispatched
-// decode (pooled LeafBlock scratch, runtime-dispatched SIMD clones
-// included). The scratch tail keeps stale bytes from earlier decodes — safe,
-// because a v3 decode only dereferences the occupied prefix plus masked
-// over-reads: every extracted lane lies within a column payload, so the
-// garbage bits never reach the output (see the lane() comments in the
-// codecs). The result is bit-identical to decoding the original page.
-NodeRef DecodeCompressed(PageId id, const std::vector<uint8_t>& encoded) {
-  thread_local std::unique_ptr<Page> scratch = std::make_unique<Page>();
-  std::memcpy(scratch->bytes.data(), encoded.data(), encoded.size());
-  return std::make_shared<const IndexNode>(IndexNode::Decode(*scratch, id));
 }
 
 }  // namespace
@@ -106,20 +83,15 @@ NodeCacheShard& NodeCache::ShardFor(PageId id) const {
 
 void NodeCache::AssignShardBudgets() {
   const size_t n = shards_.size();
-  const size_t unit = byte_budget_ ? kPageSize : 1;
   for (size_t i = 0; i < n; ++i) {
     shards_[i]->budget =
-        std::max<size_t>(1, capacity_ / n + (i < capacity_ % n)) * unit;
+        std::max<size_t>(1, capacity_ / n + (i < capacity_ % n));
   }
 }
 
 void NodeCache::EvictLocked(NodeCacheShard& shard) {
-  // The most recent entry survives even when it alone exceeds the budget
-  // (an oversized node must stay usable — the buffer manager's MRU rule).
-  while (shard.charged > shard.budget && shard.lru.size() > 1) {
-    const NodeCacheEntry& victim = shard.lru.back();
-    shard.charged -= victim.charge;
-    shard.index.erase(victim.id);
+  while (shard.lru.size() > shard.budget) {
+    shard.index.erase(shard.lru.back().id);
     shard.lru.pop_back();
   }
 }
@@ -131,49 +103,24 @@ NodeRef NodeCache::Lookup(PageId id, uint64_t* version_out) const {
     return nullptr;
   }
   NodeCacheShard& shard = ShardFor(id);
-  std::shared_ptr<const std::vector<uint8_t>> encoded;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(id);
-    if (it == shard.index.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      ++tls_misses;
-      *version_out = VersionLocked(shard, id);
-      return nullptr;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    ++tls_hits;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    const NodeCacheEntry& entry = shard.lru.front();
-    if (entry.node != nullptr) return entry.node;
-    encoded = entry.encoded;
+  std::lock_guard<std::mutex> lock(shard.mu);
+  const auto it = shard.index.find(id);
+  if (it == shard.index.end()) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++tls_misses;
+    *version_out = VersionLocked(shard, id);
+    return nullptr;
   }
-  // Compressed-tier hit: decode outside the shard lock.
-  compressed_hits_.fetch_add(1, std::memory_order_relaxed);
-  return DecodeCompressed(id, *encoded);
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++tls_hits;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  return shard.lru.front().node;
 }
 
-void NodeCache::Insert(PageId id, NodeRef node, uint64_t version_at_read,
-                       const Page* page) {
+void NodeCache::Insert(PageId id, NodeRef node, uint64_t version_at_read) {
   if (!enabled()) return;
   MST_DCHECK(node != nullptr);
-
-  // Prepare the entry outside the shard lock: the prefix copy (compressed
-  // tier) and the byte estimate are the expensive parts. Raw v1/v2 pages
-  // occupy the full 4 KB and stay plain — compressing them buys nothing.
-  NodeCacheEntry entry;
-  entry.id = id;
-  size_t occupied = kPageSize;
-  if (compressed_.load(std::memory_order_relaxed) && page != nullptr &&
-      (occupied = PageOccupiedBytes(*page)) < kPageSize) {
-    entry.encoded = std::make_shared<const std::vector<uint8_t>>(
-        page->bytes.data(), page->bytes.data() + occupied);
-    entry.bytes = occupied;
-  } else {
-    entry.node = std::move(node);
-    entry.bytes = PlainNodeBytes(*entry.node);
-  }
-  entry.charge = byte_budget_ ? std::max<size_t>(entry.bytes, 1) : 1;
+  const size_t bytes = PlainNodeBytes(*node);
 
   NodeCacheShard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -184,9 +131,8 @@ void NodeCache::Insert(PageId id, NodeRef node, uint64_t version_at_read,
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.push_front(std::move(entry));
+  shard.lru.push_front({id, std::move(node), bytes});
   shard.index[id] = shard.lru.begin();
-  shard.charged += shard.lru.front().charge;
   EvictLocked(shard);
 }
 
@@ -196,7 +142,6 @@ void NodeCache::Invalidate(PageId id) {
   ++shard.versions[id];
   const auto it = shard.index.find(id);
   if (it == shard.index.end()) return;
-  shard.charged -= it->second->charge;
   shard.lru.erase(it->second);
   shard.index.erase(it);
   invalidations_.fetch_add(1, std::memory_order_relaxed);
@@ -207,7 +152,6 @@ void NodeCache::Clear() {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->lru.clear();
     shard->index.clear();
-    shard->charged = 0;
   }
 }
 
@@ -219,30 +163,10 @@ void NodeCache::SetCapacity(size_t capacity_nodes) {
     if (capacity_ == 0) {
       shard->lru.clear();
       shard->index.clear();
-      shard->charged = 0;
     } else {
       EvictLocked(*shard);
     }
   }
-}
-
-void NodeCache::SetByteBudgetMode(bool byte_budget) {
-  if (byte_budget_ == byte_budget) return;
-  byte_budget_ = byte_budget;
-  AssignShardBudgets();
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->charged = 0;
-    for (NodeCacheEntry& entry : shard->lru) {
-      entry.charge = byte_budget_ ? std::max<size_t>(entry.bytes, 1) : 1;
-      shard->charged += entry.charge;
-    }
-    EvictLocked(*shard);
-  }
-}
-
-void NodeCache::SetCompressedMode(bool compressed) {
-  compressed_.store(compressed, std::memory_order_relaxed);
 }
 
 size_t NodeCache::resident_nodes() const {
@@ -261,17 +185,6 @@ size_t NodeCache::resident_bytes() const {
     for (const NodeCacheEntry& entry : shard->lru) bytes += entry.bytes;
   }
   return bytes;
-}
-
-size_t NodeCache::resident_compressed() const {
-  size_t resident = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const NodeCacheEntry& entry : shard->lru) {
-      if (entry.encoded != nullptr) ++resident;
-    }
-  }
-  return resident;
 }
 
 }  // namespace mst

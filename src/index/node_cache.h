@@ -7,22 +7,9 @@
 // a node handed out before an eviction stays valid for as long as the caller
 // holds the reference.
 //
-// Two orthogonal space modes extend the plain entry-count LRU:
-//
-//   Byte budget (SetByteBudgetMode): entries are charged by actual resident
-//   bytes instead of one unit each, against a budget of capacity × 4 KB per
-//   cache — the node-cache mirror of BufferManager::SetByteBudgetMode. A
-//   plain decoded v2 leaf charges ~4 KB either way, but compressed entries
-//   charge their encoded size, so the same budget keeps proportionally more
-//   nodes resident.
-//
-//   Compressed tier (SetCompressedMode): instead of the decoded IndexNode,
-//   the cache retains the *encoded page bytes* of v3 pages (compressed
-//   leaves and compressed internal nodes — raw v1/v2 pages stay decoded)
-//   and re-decodes on every hit through the pooled LeafBlock scratch and the
-//   runtime-dispatched SIMD decode clones. A hit costs a decode (~µs) but an
-//   entry costs ~1.4 KB instead of ~4 KB, trading decode CPU for 2–3x cache
-//   capacity at a fixed byte budget.
+// Sizing: every entry counts 1 against a capacity of decoded nodes. The
+// resident bytes are tracked beside the count for reporting only
+// (resident_bytes()).
 //
 // Consistency: every page carries a version, bumped by Invalidate() (called
 // from TrajectoryIndex::WriteNode on any modification). A reader observes
@@ -53,10 +40,10 @@ struct NodeCacheShard;
 /// Sharded mutex+LRU cache of immutable decoded nodes keyed by PageId.
 ///
 /// Pages map to shards by `id % shard_count`; each shard owns
-/// `capacity / shard_count` entries (±1, min 1) — ×4 KB in byte-budget mode
-/// — and evicts LRU-first under its own mutex. Capacity 0 disables the
-/// cache entirely: lookups miss without counting, inserts are dropped,
-/// versions are still maintained so the cache can be re-enabled at any time.
+/// `capacity / shard_count` entries (±1, min 1) and evicts LRU-first under
+/// its own mutex. Capacity 0 disables the cache entirely: lookups miss
+/// without counting, inserts are dropped, versions are still maintained so
+/// the cache can be re-enabled at any time.
 class NodeCache {
  public:
   /// `num_shards` 0 picks min(kDefaultShards, max(capacity, 1)); tests that
@@ -75,18 +62,12 @@ class NodeCache {
   /// Returns the cached node, or nullptr on a miss. Counts one hit or one
   /// miss (nothing while disabled). On a miss `*version_out` receives the
   /// page's current version; pass it back to Insert() after decoding.
-  /// Compressed-tier hits decode outside the shard lock; the returned node
-  /// is freshly decoded but bit-identical to the plain-tier one.
   NodeRef Lookup(PageId id, uint64_t* version_out) const;
 
   /// Publishes a decoded node if the page's version still equals
   /// `version_at_read` (else the decode raced a write and is dropped).
-  /// No-op while disabled. When the compressed tier is on and `page` (the
-  /// encoded page the node was decoded from) is a v3 page, the entry
-  /// retains the encoded bytes instead of `node`; callers without the page
-  /// at hand pass nullptr and the entry stays plain.
-  void Insert(PageId id, NodeRef node, uint64_t version_at_read,
-              const Page* page = nullptr);
+  /// No-op while disabled.
+  void Insert(PageId id, NodeRef node, uint64_t version_at_read);
 
   /// Bumps the page's version and drops any cached entry. Counts one
   /// invalidation when an entry was actually resident.
@@ -99,20 +80,6 @@ class NodeCache {
   /// Resizes the cache; 0 disables it and drops all entries. Shard count is
   /// fixed, so the effective floor of an enabled cache is one entry/shard.
   void SetCapacity(size_t capacity_nodes);
-
-  /// Switches between entry-count charging (default) and byte charging
-  /// against a budget of capacity × 4 KB. Charges of resident entries are
-  /// recomputed and over-budget shards evict immediately, except that a
-  /// shard always keeps its most recent entry (an oversized node must stay
-  /// usable, mirroring the buffer manager's MRU guarantee).
-  void SetByteBudgetMode(bool byte_budget);
-  bool byte_budget() const { return byte_budget_; }
-
-  /// Switches the compressed tier on/off for *future* inserts; resident
-  /// entries keep their representation until evicted or invalidated (both
-  /// tiers decode correctly regardless of the current mode).
-  void SetCompressedMode(bool compressed);
-  bool compressed() const { return compressed_; }
 
   size_t capacity() const { return capacity_; }
   bool enabled() const { return capacity_ > 0; }
@@ -127,31 +94,21 @@ class NodeCache {
   int64_t invalidations() const {
     return invalidations_.load(std::memory_order_relaxed);
   }
-  /// The subset of hits() served by a compressed-tier decode-on-hit.
-  int64_t compressed_hits() const {
-    return compressed_hits_.load(std::memory_order_relaxed);
-  }
 
   void ResetCounters() {
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
     invalidations_.store(0, std::memory_order_relaxed);
-    compressed_hits_.store(0, std::memory_order_relaxed);
   }
 
   /// Entries currently resident across all shards (diagnostics/tests).
   size_t resident_nodes() const;
 
-  /// Bytes charged for the resident entries (exactly what byte-budget mode
-  /// accounts: PlainNodeBytes for decoded entries, encoded length for
-  /// compressed ones). Tracked in every mode for diagnostics.
+  /// Summed PlainNodeBytes of the resident entries (diagnostics).
   size_t resident_bytes() const;
 
-  /// Entries currently held in the compressed tier.
-  size_t resident_compressed() const;
-
-  /// Byte charge of a plain decoded entry: the IndexNode shell plus its
-  /// column block or internal-entry array. Exposed for the byte-accounting
+  /// Resident bytes of a decoded entry: the IndexNode shell plus its column
+  /// block or internal-entry array. Exposed for the byte-accounting
   /// exactness tests.
   static size_t PlainNodeBytes(const IndexNode& node);
 
@@ -163,23 +120,18 @@ class NodeCache {
  private:
   internal::NodeCacheShard& ShardFor(PageId id) const;
 
-  // Evicts LRU entries until the shard's summed charge is back under its
-  // budget; the most recent entry is never evicted. Caller holds the shard
-  // mutex.
+  // Evicts LRU entries until the shard is back under its budget. Caller
+  // holds the shard mutex.
   void EvictLocked(internal::NodeCacheShard& shard);
 
-  // Distributes capacity_ over the shards (±1 entry, min 1; ×4 KB in
-  // byte-budget mode).
+  // Distributes capacity_ over the shards (±1 entry, min 1).
   void AssignShardBudgets();
 
   size_t capacity_;
-  bool byte_budget_ = false;
-  std::atomic<bool> compressed_{false};
   std::vector<std::unique_ptr<internal::NodeCacheShard>> shards_;
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> invalidations_{0};
-  mutable std::atomic<int64_t> compressed_hits_{0};
 };
 
 }  // namespace mst

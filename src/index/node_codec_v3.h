@@ -23,7 +23,7 @@
 // kColLink — sibling MBBs have no start/end linkage. Child page ids travel
 // through the order-preserving int64 bijection, so FoR/DoD apply to them
 // unchanged. Fanout stays 72: like v3 leaves, the win is taken as smaller
-// resident bytes in byte-budgeted caches, never as a different tree shape.
+// resident bytes in the buffer pool, never as a different tree shape.
 // When the compressed columns don't fit (never observed for real MBBs, but
 // adversarial coordinates can do it), EncodeTo degrades the page to the raw
 // v1 internal layout — decode dispatches on the version byte.
@@ -69,8 +69,8 @@ std::string ValidateV3InternalPage(const Page& page);
 
 /// Bytes of `page` actually occupied by payload, across every page flavor:
 /// header + subheader + compressed columns for v3 leaf AND v3 internal
-/// pages, the full 4 KB for raw v1/v2 pages. The byte-budgeted buffer pool
-/// and node cache charge resident entries with this.
+/// pages, the full 4 KB for raw v1/v2 pages. The buffer pool charges each
+/// resident frame this much of its byte budget.
 size_t PageOccupiedBytes(const Page& page);
 
 }  // namespace mst

@@ -22,11 +22,7 @@ TrajectoryIndex::TrajectoryIndex(const Options& options)
       buffer_(&file_, options.build_buffer_pages),
       node_cache_(options.node_cache_nodes),
       leaf_format_(options.leaf_format),
-      internal_format_(options.internal_format) {
-  if (options.buffer_budget_bytes) buffer_.SetByteBudgetMode(true);
-  if (options.node_cache_budget_bytes) node_cache_.SetByteBudgetMode(true);
-  if (options.node_cache_compressed) node_cache_.SetCompressedMode(true);
-}
+      internal_format_(options.internal_format) {}
 
 TrajectoryIndex::~TrajectoryIndex() = default;
 
@@ -68,7 +64,7 @@ NodeRef TrajectoryIndex::ReadNode(PageId id) const {
   if (NodeRef cached = node_cache_.Lookup(id, &version)) return cached;
   const PageGuard guard = buffer_.Pin(id);
   NodeRef node = std::make_shared<const IndexNode>(IndexNode::Decode(*guard, id));
-  node_cache_.Insert(id, node, version, &*guard);
+  node_cache_.Insert(id, node, version);
   return node;
 }
 
@@ -92,11 +88,10 @@ TrajectoryIndex::LeafPageRead TrajectoryIndex::ReadLeafColumns(
     out.guard = std::move(guard);
     return out;
   }
-  // v1 leaf (row-major entries must be transformed into columns anyway) or
-  // v3 compressed leaf (columns must be expanded into scratch): a full
-  // decode — which for v3 unpacks straight into the node's LeafBlock, no
-  // AoS detour — costs nothing extra. (Insert is a no-op here — the cache
-  // is disabled — matching ReadNode.)
+  // v3 compressed leaf (columns must be expanded into scratch anyway): a
+  // full decode unpacks straight into the node's LeafBlock and costs
+  // nothing extra. (Insert is a no-op here — the cache is disabled —
+  // matching ReadNode.)
   out.node = std::make_shared<const IndexNode>(IndexNode::Decode(*guard, id));
   out.view = out.node->leaves.View();
   out.next_leaf = out.node->next_leaf;

@@ -44,32 +44,22 @@ class TrajectoryIndex {
  public:
   /// Construction-time knobs. `build_buffer_pages` is the cache used while
   /// building; ConfigurePaperBuffer() later shrinks it to the experiment
-  /// setting (10 % of the index, max 1000 pages). `node_cache_nodes` sizes
-  /// the decoded-node cache above the page buffer (0 disables it; it is an
-  /// engineering layer, not part of the paper's I/O model — logical node
-  /// accesses are counted identically with it on or off).
-  /// `leaf_format` selects the on-page leaf layout WriteNode emits (v2
-  /// columnar by default; v1 row-major for compatibility experiments; v3
-  /// compressed columnar for the byte-budgeted buffer configurations —
-  /// either way old pages of every format decode transparently).
-  /// `internal_format` does the same for internal nodes (raw v1 by default;
-  /// v3 compressed columnar keeps routing levels small too).
-  /// `buffer_budget_bytes` switches the page buffer to its byte budget
-  /// (see BufferManager::SetByteBudgetMode): pointless for raw formats,
-  /// but with v3 leaves the same budget keeps proportionally more of the
-  /// index resident. `node_cache_budget_bytes` does the same for the
-  /// decoded-node cache (budget = node_cache_nodes × 4 KB, charged per
-  /// entry by actual resident bytes), and `node_cache_compressed` switches
-  /// the cache to retaining encoded v3 page bytes, decoding on hit — see
-  /// NodeCache::SetCompressedMode.
+  /// setting (10 % of the index, max 1000 pages). The buffer charges each
+  /// frame its page's occupied bytes, so with v3 pages the same page count
+  /// keeps more of the index resident (see BufferManager).
+  /// `node_cache_nodes` sizes the decoded-node cache above the page buffer
+  /// (0 disables it; it is an engineering layer, not part of the paper's I/O
+  /// model — logical node accesses are counted identically with it on or
+  /// off). `leaf_format` selects the on-page leaf layout WriteNode emits (v2
+  /// columnar by default, or v3 compressed columnar — either way pages of
+  /// both formats decode transparently). `internal_format` does the same
+  /// for internal nodes (raw v1 by default; v3 compressed columnar keeps
+  /// routing levels small too).
   struct Options {
     size_t build_buffer_pages = 4096;
     size_t node_cache_nodes = 4096;
     LeafPageFormat leaf_format = LeafPageFormat::kV2Soa;
     InternalPageFormat internal_format = InternalPageFormat::kV1Aos;
-    bool buffer_budget_bytes = false;
-    bool node_cache_budget_bytes = false;
-    bool node_cache_compressed = false;
     /// Incremental-insert policy of the 3D R-tree (see RTreeVariant). Tree
     /// shape only: page formats, bulk loading (always STR), and exact k-MST
     /// results are unaffected by this knob.
@@ -134,7 +124,7 @@ class TrajectoryIndex {
   /// One leaf page read for column streaming. Exactly one of `node` /
   /// `guard` backs `view`; keep the struct alive while the view is used.
   struct LeafPageRead {
-    NodeRef node;     // decoded path (v1/v3 page, or node cache enabled)
+    NodeRef node;     // decoded path (v3 page, or node cache enabled)
     PageGuard guard;  // zero-copy path (v2 page, node cache disabled)
     LeafView view;
     PageId next_leaf = kInvalidPageId;
@@ -143,8 +133,8 @@ class TrajectoryIndex {
   /// Reads a page the caller knows is a leaf. With the decoded-node cache
   /// disabled and a v2 columnar page, the returned view aliases the pinned
   /// buffer frame directly — no block copy, no IndexNode materialization
-  /// (the structural payoff of the SoA layout; v1 pages need the AoS→SoA
-  /// transform and fall back to a full decode). Accounting is identical to
+  /// (the structural payoff of the SoA layout; v3 pages need their columns
+  /// expanded and fall back to a full decode). Accounting is identical to
   /// ReadNode on every path: one logical node access, and the same single
   /// buffer Pin, so node-access and I/O counters are unchanged.
   LeafPageRead ReadLeafColumns(PageId id) const;

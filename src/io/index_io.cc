@@ -17,8 +17,6 @@ constexpr char kMagic[8] = {'M', 'S', 'T', 'I', 'D', 'X', '0', '1'};
 
 const char* FormatName(LeafPageFormat format) {
   switch (format) {
-    case LeafPageFormat::kV1Aos:
-      return "v1 (AoS)";
     case LeafPageFormat::kV2Soa:
       return "v2 (SoA)";
     case LeafPageFormat::kV3Compressed:
@@ -177,25 +175,14 @@ std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
     SetError(error, path + ": trailing bytes after page payload");
     return nullptr;
   }
-  // Compressed pages carry enough structure to be mis-parsed into
-  // out-of-bounds column reads, so they are the page flavors validated up
-  // front instead of trusted (v1/v2 pages are fixed-layout; their decode
-  // checks suffice).
+  // Every page is validated up front instead of trusted: a bad format byte
+  // or entry count would otherwise abort the first query that decodes the
+  // page, or send the zero-copy leaf path reading past the page.
   for (size_t i = 0; i < pages.size(); ++i) {
-    if (IsV3LeafPage(pages[i])) {
-      const std::string problem = ValidateV3LeafPage(pages[i]);
-      if (!problem.empty()) {
-        SetError(error, path + ": corrupt v3 leaf page " + std::to_string(i) +
-                            ": " + problem);
-        return nullptr;
-      }
-    } else if (IsV3InternalPage(pages[i])) {
-      const std::string problem = ValidateV3InternalPage(pages[i]);
-      if (!problem.empty()) {
-        SetError(error, path + ": corrupt v3 internal page " +
-                            std::to_string(i) + ": " + problem);
-        return nullptr;
-      }
+    const std::string problem = ValidateNodePage(pages[i]);
+    if (!problem.empty()) {
+      SetError(error, path + ": page " + std::to_string(i) + ": " + problem);
+      return nullptr;
     }
   }
   if (options.read_write) {
@@ -206,18 +193,15 @@ std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
     // that case gets its own message. A v3 file legitimately contains v2
     // fallback pages for incompressible leaves, so any v3 leaf marks the
     // whole file v3.
-    bool file_has_v2_leaf = false;
     bool file_has_v3_leaf = false;
     bool file_has_v3_internal = false;
     for (const Page& page : pages) {
       if (IsV3LeafPage(page)) file_has_v3_leaf = true;
-      else if (IsV2LeafPage(page)) file_has_v2_leaf = true;
       else if (IsV3InternalPage(page)) file_has_v3_internal = true;
     }
-    const LeafPageFormat file_format =
-        file_has_v3_leaf ? LeafPageFormat::kV3Compressed
-        : file_has_v2_leaf ? LeafPageFormat::kV2Soa
-                           : LeafPageFormat::kV1Aos;
+    const LeafPageFormat file_format = file_has_v3_leaf
+                                           ? LeafPageFormat::kV3Compressed
+                                           : LeafPageFormat::kV2Soa;
     if (header.page_count > 0 && options.index.leaf_format != file_format) {
       SetError(error, path + ": cannot open read-write: requested " +
                           FormatName(options.index.leaf_format) +

@@ -37,7 +37,9 @@ struct IndexOpenOptions {
 
 /// Loads an index previously written by SaveIndex. The returned index
 /// answers all read-side queries; calling Insert on it aborts. Returns
-/// nullptr and fills `*error` on failure.
+/// nullptr and fills `*error` on failure, including when any page fails
+/// ValidateNodePage (unknown format byte, entry count beyond the node
+/// capacity, a row-major v1 leaf, a corrupt v3 page).
 std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
                                            std::string* error);
 

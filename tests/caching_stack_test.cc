@@ -4,10 +4,14 @@
 // scan oracles — exact-period k-MST through the concurrent executor vs
 // LinearScanKMst, and time-relaxed k-MST vs TimeRelaxedKMst (whose index
 // traversal runs above the node cache but never touches the result cache).
+// Every page-format combination — {v1, v3} internal × {v2, v3} leaf pages,
+// node cache off/on — must do the same for exact k-MST on every backend,
+// with node-access counts independent of the format.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -17,6 +21,9 @@
 #include "src/core/time_relaxed.h"
 #include "src/exec/query_executor.h"
 #include "src/gen/gstd.h"
+#include "src/index/node_codec_v3.h"
+#include "src/index/rtree3d.h"
+#include "src/index/strtree.h"
 #include "src/index/tbtree.h"
 #include "src/io/index_io.h"
 #include "src/util/random.h"
@@ -60,7 +67,10 @@ TEST_P(CachingStackTest, ExactKMstMatchesLinearScanThroughExecutor) {
   QueryExecutor executor(&index, store_, exec_opt);
   ASSERT_EQ(executor.result_cache().enabled(), result_cache_on);
 
-  // Each query twice, so an enabled result cache serves the repeats.
+  // Each query twice within the batch, and the whole batch twice. The two
+  // in-batch copies may run at once on the two workers and both miss; the
+  // second RunBatch starts only after the first published every
+  // refinement, so an enabled result cache always serves it.
   std::vector<QueryRequest> requests;
   Rng rng(71);
   for (int i = 0; i < 6; ++i) {
@@ -72,11 +82,14 @@ TEST_P(CachingStackTest, ExactKMstMatchesLinearScanThroughExecutor) {
     requests.emplace_back(q, q.Lifespan(), q_opt);
     requests.emplace_back(q, q.Lifespan(), q_opt);
   }
-  const std::vector<QueryOutcome> outcomes = executor.RunBatch(requests);
+  std::vector<QueryOutcome> outcomes = executor.RunBatch(requests);
   ASSERT_EQ(outcomes.size(), requests.size());
+  const std::vector<QueryOutcome> repeats = executor.RunBatch(requests);
+  ASSERT_EQ(repeats.size(), requests.size());
+  outcomes.insert(outcomes.end(), repeats.begin(), repeats.end());
 
   for (size_t i = 0; i < outcomes.size(); ++i) {
-    const QueryRequest& req = requests[i];
+    const QueryRequest& req = requests[i % requests.size()];
     const QueryOutcome& out = outcomes[i];
     ASSERT_FALSE(out.cancelled);
     const std::vector<MstResult> oracle =
@@ -177,11 +190,11 @@ TEST(CachingStackCrossCheckTest, TimeRelaxedNodeAccessesAreCacheInvariant) {
   }
 }
 
-// The fully compressed stack — v3 leaves, v3 internal pages, byte-budgeted
-// page buffer, byte-budgeted *compressed* node cache — must stay
-// byte-identical to the plain default stack, on a freshly built tree and on
-// a mixed-format file reloaded from disk (v3 pages alongside the raw v1/v2
-// fallbacks a real file contains).
+// The fully compressed stack — v3 leaves and v3 internal pages behind a
+// paper-sized buffer and a small node cache — must stay byte-identical to
+// the plain default stack, on a freshly built tree and on a mixed-format
+// file reloaded from disk (v3 pages alongside the raw v1/v2 fallbacks a real
+// file contains).
 TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
   GstdOptions opt;
   opt.num_objects = 40;
@@ -189,21 +202,17 @@ TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
   opt.seed = 4453;
   const TrajectoryStore store = GenerateGstd(opt);
 
-  TBTree plain;  // v2 leaves, v1 internals, unit-charged caches
+  TBTree plain;  // v2 leaves, v1 internals
   plain.BuildFrom(store);
 
   TrajectoryIndex::Options compressed_opt;
   compressed_opt.leaf_format = LeafPageFormat::kV3Compressed;
   compressed_opt.internal_format = InternalPageFormat::kV3Compressed;
-  compressed_opt.buffer_budget_bytes = true;
-  compressed_opt.node_cache_budget_bytes = true;
-  compressed_opt.node_cache_compressed = true;
-  // Small cache so the byte budget actually evicts during the run.
+  // Small cache so it actually evicts during the run.
   compressed_opt.node_cache_nodes = 64;
   TBTree compressed(compressed_opt);
   compressed.BuildFrom(store);
-  ASSERT_TRUE(compressed.node_cache().byte_budget());
-  ASSERT_TRUE(compressed.node_cache().compressed());
+  compressed.ConfigurePaperBuffer();
 
   const std::string path =
       ::testing::TempDir() + "/compressed_stack_mixed.mst";
@@ -213,6 +222,7 @@ TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
   std::string error;
   const auto loaded = LoadIndex(path, open_opt, &error);
   ASSERT_NE(loaded, nullptr) << error;
+  loaded->ConfigurePaperBuffer();
 
   const BFMstSearch s_plain(&plain, &store);
   const BFMstSearch s_comp(&compressed, &store);
@@ -241,10 +251,132 @@ TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
     EXPECT_EQ(st_comp.nodes_accessed, st_plain.nodes_accessed);
     EXPECT_EQ(st_loaded.nodes_accessed, st_plain.nodes_accessed);
   }
-  // The compressed tier actually engaged (decode-on-hit traffic happened).
-  EXPECT_GT(compressed.node_cache().compressed_hits(), 0);
-  EXPECT_GT(compressed.node_cache().resident_compressed(), 0u);
+  // The compressed frames are charged their occupied bytes, so the
+  // paper-sized buffer holds more of them than its page count.
+  EXPECT_GT(compressed.buffer().resident_frames(),
+            compressed.buffer().capacity());
+  EXPECT_GT(loaded->buffer().resident_frames(), loaded->buffer().capacity());
+  EXPECT_GT(compressed.node_cache().hits(), 0);
 }
+
+// (internal format, leaf format, node cache enabled)
+using FormatConfig = std::tuple<InternalPageFormat, LeafPageFormat, bool>;
+
+class CachingStackFormatTest : public ::testing::TestWithParam<FormatConfig> {
+ protected:
+  static void SetUpTestSuite() {
+    GstdOptions opt;
+    opt.num_objects = 40;
+    opt.samples_per_object = 90;
+    opt.seed = 4454;
+    store_ = new TrajectoryStore(GenerateGstd(opt));
+  }
+
+  static void TearDownTestSuite() {
+    delete store_;
+    store_ = nullptr;
+  }
+
+  static const TrajectoryStore* store_;
+};
+
+const TrajectoryStore* CachingStackFormatTest::store_ = nullptr;
+
+std::unique_ptr<TrajectoryIndex> BuildBackend(
+    int backend, const TrajectoryIndex::Options& options,
+    const TrajectoryStore& store) {
+  std::unique_ptr<TrajectoryIndex> index;
+  switch (backend) {
+    case 0:
+      index = std::make_unique<RTree3D>(options);
+      break;
+    case 1:
+      index = std::make_unique<TBTree>(options);
+      break;
+    default:
+      index = std::make_unique<STRTree>(options);
+      break;
+  }
+  index->BuildFrom(store);
+  index->ConfigurePaperBuffer();
+  return index;
+}
+
+// Exact k-MST through each backend, behind a paper-sized buffer and (when
+// on) a small node cache so both evict, must equal LinearScan bitwise; the
+// tree shape and node accesses must equal the default-format stack's. Each
+// query runs twice so the repeat reads warm caches.
+TEST_P(CachingStackFormatTest, KMstMatchesLinearScanOnEveryBackend) {
+  const auto [internal_format, leaf_format, node_cache_on] = GetParam();
+  TrajectoryIndex::Options opt;
+  opt.internal_format = internal_format;
+  opt.leaf_format = leaf_format;
+  opt.node_cache_nodes = node_cache_on ? 32 : 0;
+  TrajectoryIndex::Options baseline_opt;
+  baseline_opt.node_cache_nodes = 0;
+
+  for (int backend = 0; backend < 3; ++backend) {
+    const auto index = BuildBackend(backend, opt, *store_);
+    const auto baseline = BuildBackend(backend, baseline_opt, *store_);
+    ASSERT_EQ(index->NodeCount(), baseline->NodeCount()) << index->name();
+    ASSERT_EQ(index->root(), baseline->root()) << index->name();
+    const BFMstSearch search(index.get(), store_);
+    const BFMstSearch base_search(baseline.get(), store_);
+
+    Rng rng(83);
+    for (int i = 0; i < 4; ++i) {
+      const Trajectory& q = store_->trajectories()[rng.UniformIndex(
+          store_->trajectories().size())];
+      MstOptions q_opt;
+      q_opt.k = 4;
+      q_opt.exclude_id = q.id();
+      const std::vector<MstResult> oracle =
+          LinearScanKMst(*store_, q, q.Lifespan(), q_opt.k,
+                         IntegrationPolicy::kExact, q.id());
+      MstStats base_stats;
+      (void)base_search.Search(q, q.Lifespan(), q_opt, &base_stats);
+      for (int pass = 0; pass < 2; ++pass) {
+        MstStats stats;
+        const auto got = search.Search(q, q.Lifespan(), q_opt, &stats);
+        ASSERT_EQ(got.size(), oracle.size()) << index->name();
+        for (size_t j = 0; j < oracle.size(); ++j) {
+          EXPECT_EQ(got[j].id, oracle[j].id) << index->name() << " rank " << j;
+          EXPECT_EQ(got[j].dissim, oracle[j].dissim)
+              << index->name() << " rank " << j;
+        }
+        EXPECT_EQ(stats.nodes_accessed, base_stats.nodes_accessed)
+            << index->name();
+        EXPECT_EQ(stats.leaf_entries_seen, base_stats.leaf_entries_seen)
+            << index->name();
+      }
+    }
+    if (internal_format == InternalPageFormat::kV3Compressed) {
+      // The v3 internal knob actually produced v3 internal pages.
+      index->buffer().Flush();
+      bool any_v3_internal = false;
+      for (PageId id = 0; id < index->NodeCount(); ++id) {
+        any_v3_internal |= IsV3InternalPage(*index->buffer().Pin(id));
+      }
+      EXPECT_TRUE(any_v3_internal) << index->name();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PageFormatMatrix, CachingStackFormatTest,
+    ::testing::Combine(::testing::Values(InternalPageFormat::kV1Aos,
+                                         InternalPageFormat::kV3Compressed),
+                       ::testing::Values(LeafPageFormat::kV2Soa,
+                                         LeafPageFormat::kV3Compressed),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == InternalPageFormat::kV1Aos
+                             ? "V1Internal"
+                             : "V3Internal") +
+             (std::get<1>(info.param) == LeafPageFormat::kV2Soa ? "_V2Leaf"
+                                                                : "_V3Leaf") +
+             (std::get<2>(info.param) ? "_NodeCacheOn" : "_NodeCacheOff");
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     AllCacheConfigs, CachingStackTest,

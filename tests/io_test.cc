@@ -231,40 +231,42 @@ TEST(IndexIoTest, OpenRejectsReadWriteExplicitly) {
 TEST(IndexIoTest, OpenDiagnosesLeafFormatMismatchOnReadWrite) {
   const TrajectoryStore store = SampleStore();
 
-  // A v1 (AoS) file opened for v2 (SoA) writes — and the mirror case. The
-  // mismatch must be named, not silently fallen back from.
-  RTree3D v1_tree{[] {
+  // A v3 (compressed) file opened for v2 (SoA) writes — and the mirror
+  // case. The mismatch must be named, not silently fallen back from.
+  RTree3D v3_tree{[] {
     TrajectoryIndex::Options o;
-    o.leaf_format = LeafPageFormat::kV1Aos;
+    o.leaf_format = LeafPageFormat::kV3Compressed;
     return o;
   }()};
-  v1_tree.BulkLoad(store);
-  const std::string v1_path = TempPath("v1_leaves.mst");
-  ASSERT_TRUE(SaveIndex(v1_tree, v1_path));
+  v3_tree.BulkLoad(store);
+  const std::string v3_path = TempPath("v3_leaves.mst");
+  ASSERT_TRUE(SaveIndex(v3_tree, v3_path));
 
   IndexOpenOptions want_v2;
   want_v2.read_write = true;
   want_v2.index.leaf_format = LeafPageFormat::kV2Soa;
   std::string error;
-  EXPECT_EQ(LoadIndex(v1_path, want_v2, &error), nullptr);
-  EXPECT_NE(error.find("stores v1 (AoS)"), std::string::npos) << error;
+  EXPECT_EQ(LoadIndex(v3_path, want_v2, &error), nullptr);
+  EXPECT_NE(error.find("stores v3 (compressed) leaf pages"), std::string::npos)
+      << error;
 
   RTree3D v2_tree;  // default: v2 leaves
   v2_tree.BulkLoad(store);
   const std::string v2_path = TempPath("v2_leaves.mst");
   ASSERT_TRUE(SaveIndex(v2_tree, v2_path));
 
-  IndexOpenOptions want_v1;
-  want_v1.read_write = true;
-  want_v1.index.leaf_format = LeafPageFormat::kV1Aos;
-  EXPECT_EQ(LoadIndex(v2_path, want_v1, &error), nullptr);
-  EXPECT_NE(error.find("stores v2 (SoA)"), std::string::npos) << error;
+  IndexOpenOptions want_v3;
+  want_v3.read_write = true;
+  want_v3.index.leaf_format = LeafPageFormat::kV3Compressed;
+  EXPECT_EQ(LoadIndex(v2_path, want_v3, &error), nullptr);
+  EXPECT_NE(error.find("stores v2 (SoA) leaf pages"), std::string::npos)
+      << error;
 
   // Read-only never cares: either file loads under either leaf format.
   want_v2.read_write = false;
-  want_v1.read_write = false;
-  EXPECT_NE(LoadIndex(v1_path, want_v2, &error), nullptr) << error;
-  EXPECT_NE(LoadIndex(v2_path, want_v1, &error), nullptr) << error;
+  want_v3.read_write = false;
+  EXPECT_NE(LoadIndex(v3_path, want_v2, &error), nullptr) << error;
+  EXPECT_NE(LoadIndex(v2_path, want_v3, &error), nullptr) << error;
 }
 
 TEST(IndexIoTest, RejectsTrailingBytesAfterPagePayload) {
@@ -331,10 +333,10 @@ TEST(IndexIoTest, OpenOptionsConfigureTheLoadedIndex) {
   EXPECT_EQ(stats.node_cache_hits + stats.node_cache_misses, 0);
 }
 
-// Byte offset of the first v3 compressed leaf page inside a saved index
-// file, or -1 when none exists. Pages start after the 8-byte magic and the
-// 64-byte header.
-long FindV3PageOffset(const std::string& path) {
+// Byte offset of the first page whose format byte (byte 1) is `version`
+// inside a saved index file, or -1 when none exists. Pages start after the
+// 8-byte magic and the 64-byte header.
+long FindPageOffset(const std::string& path, uint8_t version) {
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return -1;
   for (long offset = 8 + 64;; offset += static_cast<long>(kPageSize)) {
@@ -344,7 +346,7 @@ long FindV3PageOffset(const std::string& path) {
       std::fclose(f);
       return -1;
     }
-    if (head[0] == 0 && head[1] == 3) {  // leaf level, v3 version byte
+    if (head[1] == version) {
       std::fclose(f);
       return offset;
     }
@@ -360,7 +362,8 @@ TEST(IndexIoTest, RejectsCorruptV3LeafPages) {
   const std::string path = TempPath("corrupt_v3.mst");
 
   ASSERT_TRUE(SaveIndex(tree, path));
-  const long page = FindV3PageOffset(path);
+  const long page = FindPageOffset(
+      path, static_cast<uint8_t>(LeafPageFormat::kV3Compressed));
   ASSERT_GT(page, 0) << "expected at least one compressed leaf";
   // Pristine file loads and queries fine.
   std::string error;
@@ -395,25 +398,6 @@ TEST(IndexIoTest, RejectsCorruptV3LeafPages) {
   EXPECT_NE(error.find("column payload"), std::string::npos) << error;
 }
 
-// Byte offset of the first v3 compressed *internal* page (level >= 1,
-// version byte 4), or -1 when none exists.
-long FindV3InternalPageOffset(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return -1;
-  for (long offset = 8 + 64;; offset += static_cast<long>(kPageSize)) {
-    uint8_t head[2];
-    if (std::fseek(f, offset, SEEK_SET) != 0 ||
-        std::fread(head, 1, 2, f) != 2) {
-      std::fclose(f);
-      return -1;
-    }
-    if (head[0] >= 1 && head[1] == kV3InternalVersion) {
-      std::fclose(f);
-      return offset;
-    }
-  }
-}
-
 TEST(IndexIoTest, RejectsCorruptV3InternalPages) {
   const TrajectoryStore store = SampleStore();
   TBTree::Options opt;
@@ -423,7 +407,7 @@ TEST(IndexIoTest, RejectsCorruptV3InternalPages) {
   const std::string path = TempPath("corrupt_v3_internal.mst");
 
   ASSERT_TRUE(SaveIndex(tree, path));
-  const long page = FindV3InternalPageOffset(path);
+  const long page = FindPageOffset(path, kV3InternalVersion);
   ASSERT_GT(page, 0) << "expected at least one compressed internal page";
   std::string error;
   ASSERT_NE(LoadIndex(path, &error), nullptr) << error;
@@ -488,6 +472,79 @@ TEST(IndexIoTest, OpenDiagnosesInternalFormatMismatchOnReadWrite) {
   // Read-only never cares about either format knob.
   want_v1_internal.read_write = false;
   EXPECT_NE(LoadIndex(path, want_v1_internal, &error), nullptr) << error;
+}
+
+// Raw pages carry an entry count the decoders trust. An out-of-range count
+// must fail the load by name — not abort the first query, and not send the
+// zero-copy leaf path (node cache off) reading past the page.
+TEST(IndexIoTest, RejectsOversizedEntryCounts) {
+  const TrajectoryStore store = SampleStore();
+  TBTree tree;  // default: v2 leaves, v1 internal pages
+  tree.BuildFrom(store);
+  const std::string path = TempPath("oversized_count.mst");
+  ASSERT_TRUE(SaveIndex(tree, path));
+  const long leaf =
+      FindPageOffset(path, static_cast<uint8_t>(LeafPageFormat::kV2Soa));
+  const long internal = FindPageOffset(path, 0);
+  ASSERT_GT(leaf, 0);
+  ASSERT_GT(internal, 0) << "expected a v1 internal page";
+
+  IndexOpenOptions uncached;
+  uncached.index.node_cache_nodes = 0;
+  const uint8_t count = 200;  // v2 leaves store the count in byte 3
+  PatchFile(path, leaf + 3, &count, 1);
+  std::string error;
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("corrupt v2 leaf page"), std::string::npos) << error;
+  EXPECT_NE(error.find("entry count 200"), std::string::npos) << error;
+  EXPECT_EQ(LoadIndex(path, uncached, &error), nullptr);
+
+  ASSERT_TRUE(SaveIndex(tree, path));
+  const int32_t v1_count = 73;  // v1 pages store an int32 count at byte 4
+  PatchFile(path, internal + 4, &v1_count, sizeof(v1_count));
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("corrupt v1 internal page"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("entry count 73"), std::string::npos) << error;
+}
+
+TEST(IndexIoTest, RejectsUnknownPageFormatByte) {
+  const TrajectoryStore store = SampleStore();
+  TBTree tree;
+  tree.BuildFrom(store);
+  const std::string path = TempPath("unknown_format.mst");
+  ASSERT_TRUE(SaveIndex(tree, path));
+  const long leaf =
+      FindPageOffset(path, static_cast<uint8_t>(LeafPageFormat::kV2Soa));
+  ASSERT_GT(leaf, 0);
+
+  const uint8_t version = 9;
+  PatchFile(path, leaf + 1, &version, 1);
+  std::string error;
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("unsupported page format byte 9"), std::string::npos)
+      << error;
+}
+
+// Row-major v1 leaf pages are no longer read; a file holding one must be
+// refused at load with a message that says so.
+TEST(IndexIoTest, RejectsV1LeafPages) {
+  const TrajectoryStore store = SampleStore();
+  TBTree tree;
+  tree.BuildFrom(store);
+  const std::string path = TempPath("v1_leaf.mst");
+  ASSERT_TRUE(SaveIndex(tree, path));
+  const long leaf =
+      FindPageOffset(path, static_cast<uint8_t>(LeafPageFormat::kV2Soa));
+  ASSERT_GT(leaf, 0);
+
+  // A v1 header: int32 level 0 (a leaf) and int32 entry count 5.
+  const int32_t v1_header[2] = {0, 5};
+  PatchFile(path, leaf, v1_header, sizeof(v1_header));
+  std::string error;
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("v1 (row-major) leaf page"), std::string::npos)
+      << error;
 }
 
 TEST(IndexIoTest, RejectsTruncatedFile) {

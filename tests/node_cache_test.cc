@@ -14,9 +14,7 @@
 
 #include "src/core/mst_search.h"
 #include "src/gen/gstd.h"
-#include "src/index/leaf_codec_v3.h"
 #include "src/index/node_cache.h"
-#include "src/index/node_codec_v3.h"
 #include "src/index/rtree3d.h"
 #include "src/index/tbtree.h"
 #include "src/util/random.h"
@@ -248,39 +246,10 @@ TEST(NodeCacheTest, ConcurrentHammerKeepsCountersExact) {
   EXPECT_LE(cache.resident_nodes(), 16u);
 }
 
-// A highly compressible leaf (one trajectory chain on a coarse grid) encoded
-// as a v3 page, plus its decoded form — the compressed tier's bread and
-// butter.
-struct EncodedLeaf {
-  Page page;
-  NodeRef node;
-};
-
-EncodedLeaf CompressibleV3Leaf(PageId self, TrajectoryId marker, int count) {
-  IndexNode node;
-  node.self = self;
-  node.level = 0;
-  double t = 0.0;
-  for (int i = 0; i < count; ++i) {
-    const double x = 0.25 * i;
-    node.leaves.push_back(LeafEntry::Of(marker, {t, {x, 1.0}},
-                                        {t + 0.5, {x + 0.25, 1.5}}));
-    t += 1.0;
-  }
-  EncodedLeaf out;
-  node.EncodeTo(&out.page, LeafPageFormat::kV3Compressed);
-  MST_CHECK(IsV3LeafPage(out.page));
-  out.node = std::make_shared<const IndexNode>(
-      IndexNode::Decode(out.page, self));
-  return out;
-}
-
-TEST(NodeCacheTest, ByteBudgetChargesExactDecodedBytes) {
+TEST(NodeCacheTest, ResidentBytesAreExactDecodedBytes) {
   NodeCache cache(/*capacity_nodes=*/8, /*num_shards=*/1);
-  cache.SetByteBudgetMode(true);
-  ASSERT_TRUE(cache.byte_budget());
 
-  // Each resident plain entry must be charged exactly PlainNodeBytes.
+  // Each resident entry must be accounted exactly PlainNodeBytes.
   size_t expected = 0;
   for (PageId id = 1; id <= 3; ++id) {
     uint64_t version = 0;
@@ -292,164 +261,10 @@ TEST(NodeCacheTest, ByteBudgetChargesExactDecodedBytes) {
   EXPECT_EQ(cache.resident_nodes(), 3u);
   EXPECT_EQ(cache.resident_bytes(), expected);
 
-  // Invalidation returns the exact charge.
+  // Invalidation returns the exact bytes.
   const uint64_t dropped = NodeCache::PlainNodeBytes(*MarkedLeaf(2, 102));
   cache.Invalidate(2);
   EXPECT_EQ(cache.resident_bytes(), expected - dropped);
-}
-
-TEST(NodeCacheTest, ByteBudgetEvictsByBytesAndKeepsTheMruEntry) {
-  // Budget = 1 node × 4 KB. A decoded leaf with a column block exceeds that
-  // alone, so any older entry must go — but the newest always stays usable.
-  NodeCache cache(/*capacity_nodes=*/1, /*num_shards=*/1);
-  cache.SetByteBudgetMode(true);
-  Populate(&cache, 1, 101);
-  Populate(&cache, 2, 102);
-  uint64_t version = 0;
-  EXPECT_EQ(cache.Lookup(1, &version), nullptr) << "older entry evicted";
-  EXPECT_NE(cache.Lookup(2, &version), nullptr) << "MRU entry must survive";
-  EXPECT_EQ(cache.resident_nodes(), 1u);
-}
-
-TEST(NodeCacheTest, CompressedTierDecodesOnHitBitIdentical) {
-  NodeCache cache(/*capacity_nodes=*/8, /*num_shards=*/1);
-  cache.SetByteBudgetMode(true);
-  cache.SetCompressedMode(true);
-  ASSERT_TRUE(cache.compressed());
-
-  const EncodedLeaf leaf = CompressibleV3Leaf(/*self=*/5, /*marker=*/77, 40);
-  const size_t occupied = PageOccupiedBytes(leaf.page);
-  ASSERT_LT(occupied, kPageSize);
-
-  uint64_t version = 0;
-  ASSERT_EQ(cache.Lookup(5, &version), nullptr);
-  cache.Insert(5, leaf.node, version, &leaf.page);
-  EXPECT_EQ(cache.resident_compressed(), 1u);
-  EXPECT_EQ(cache.resident_bytes(), occupied);
-
-  const NodeRef hit = cache.Lookup(5, &version);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(cache.compressed_hits(), 1);
-  // The decode-on-hit result must match the eagerly decoded node bitwise.
-  ASSERT_EQ(hit->Count(), leaf.node->Count());
-  const LeafView got = hit->leaves.View();
-  const LeafView want = leaf.node->leaves.View();
-  for (int i = 0; i < hit->Count(); ++i) {
-    EXPECT_EQ(got.traj_id[i], want.traj_id[i]);
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.t0[i]),
-              std::bit_cast<uint64_t>(want.t0[i]));
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.x0[i]),
-              std::bit_cast<uint64_t>(want.x0[i]));
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.y1[i]),
-              std::bit_cast<uint64_t>(want.y1[i]));
-  }
-
-  // Incompressible (raw v2) pages stay plain even in compressed mode.
-  IndexNode plain;
-  plain.self = 6;
-  plain.level = 0;
-  plain.leaves.push_back(LeafEntry::Of(9, {0.0, {0, 0}}, {1.0, {1, 1}}));
-  Page v2page;
-  plain.EncodeTo(&v2page);  // default v2 — occupies the full 4 KB
-  ASSERT_EQ(cache.Lookup(6, &version), nullptr);
-  cache.Insert(6, std::make_shared<const IndexNode>(std::move(plain)),
-               version, &v2page);
-  EXPECT_EQ(cache.resident_compressed(), 1u) << "v2 page must stay plain";
-}
-
-TEST(NodeCacheTest, CompressedTierPacksMoreNodesAtFixedByteBudget) {
-  // Same byte budget, same insert stream: the compressed tier must keep at
-  // least 2x the nodes resident (the encoded pages here are ~1/4 page).
-  constexpr int kPages = 64;
-  std::vector<EncodedLeaf> leaves;
-  leaves.reserve(kPages);
-  for (PageId id = 0; id < kPages; ++id) {
-    leaves.push_back(
-        CompressibleV3Leaf(id, static_cast<TrajectoryId>(id), 60));
-  }
-  const auto fill = [&leaves](NodeCache* cache) {
-    for (PageId id = 0; id < kPages; ++id) {
-      uint64_t version = 0;
-      if (cache->Lookup(id, &version) == nullptr) {
-        cache->Insert(id, leaves[static_cast<size_t>(id)].node, version,
-                      &leaves[static_cast<size_t>(id)].page);
-      }
-    }
-  };
-
-  NodeCache plain(/*capacity_nodes=*/8, /*num_shards=*/1);
-  plain.SetByteBudgetMode(true);
-  fill(&plain);
-
-  NodeCache compressed(/*capacity_nodes=*/8, /*num_shards=*/1);
-  compressed.SetByteBudgetMode(true);
-  compressed.SetCompressedMode(true);
-  fill(&compressed);
-
-  EXPECT_GE(compressed.resident_nodes(), 2 * plain.resident_nodes())
-      << "plain " << plain.resident_nodes() << " nodes / "
-      << plain.resident_bytes() << " B, compressed "
-      << compressed.resident_nodes() << " nodes / "
-      << compressed.resident_bytes() << " B";
-}
-
-TEST(NodeCacheTest, CompressedConcurrentHammerKeepsCountersExact) {
-  constexpr int kThreads = 8;
-  constexpr int kLookupsPerThread = 10000;
-  constexpr int kPages = 64;
-  NodeCache cache(/*capacity_nodes=*/16, /*num_shards=*/8);
-  cache.SetByteBudgetMode(true);
-  cache.SetCompressedMode(true);
-
-  std::vector<EncodedLeaf> leaves;
-  leaves.reserve(kPages);
-  for (PageId id = 0; id < kPages; ++id) {
-    leaves.push_back(
-        CompressibleV3Leaf(id, static_cast<TrajectoryId>(id), 30));
-  }
-
-  std::atomic<int64_t> payload_mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads + 2);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &leaves, &payload_mismatches, t] {
-      Rng rng(1700 + static_cast<uint64_t>(t));
-      for (int i = 0; i < kLookupsPerThread; ++i) {
-        const PageId id = static_cast<PageId>(rng.UniformIndex(kPages));
-        uint64_t version = 0;
-        if (const NodeRef node = cache.Lookup(id, &version)) {
-          // A decode-on-hit must always reproduce the page keyed by `id`.
-          if (node->self != id ||
-              node->leaves.View().traj_id[0] !=
-                  static_cast<TrajectoryId>(id)) {
-            payload_mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else {
-          cache.Insert(id, leaves[static_cast<size_t>(id)].node, version,
-                       &leaves[static_cast<size_t>(id)].page);
-        }
-      }
-    });
-  }
-  std::atomic<bool> stop{false};
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&cache, &stop, t] {
-      Rng rng(41 + static_cast<uint64_t>(t));
-      while (!stop.load(std::memory_order_relaxed)) {
-        cache.Invalidate(static_cast<PageId>(rng.UniformIndex(kPages)));
-        std::this_thread::yield();
-      }
-    });
-  }
-  for (int t = 0; t < kThreads; ++t) threads[static_cast<size_t>(t)].join();
-  stop.store(true, std::memory_order_relaxed);
-  for (size_t t = kThreads; t < threads.size(); ++t) threads[t].join();
-
-  EXPECT_EQ(payload_mismatches.load(), 0);
-  EXPECT_EQ(cache.hits() + cache.misses(),
-            static_cast<int64_t>(kThreads) * kLookupsPerThread);
-  EXPECT_LE(cache.compressed_hits(), cache.hits());
-  EXPECT_GT(cache.compressed_hits(), 0);
 }
 
 }  // namespace

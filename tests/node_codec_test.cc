@@ -1,8 +1,7 @@
-// Randomized round-trip tests of the node codec: the v1 (row-major), v2
-// (columnar) and v3 (compressed columnar) leaf-page layouts, internal pages,
-// the version-byte dispatch, the fixed v2 column offsets, and the
-// compatibility guarantee that an index file written in any format answers
-// queries identically under the current code.
+// Randomized round-trip tests of the node codec: the v2 (columnar) and v3
+// (compressed columnar) leaf-page layouts, internal pages, the version-byte
+// dispatch, the fixed v2 column offsets, and the guarantee that an index
+// file written in any supported format answers queries identically.
 
 #include <gtest/gtest.h>
 
@@ -80,8 +79,8 @@ void ExpectNodesEqual(const IndexNode& got, const IndexNode& want) {
   for (size_t i = 0; i < want.leaves.size(); ++i) {
     EXPECT_EQ(got.leaves[i], want.leaves[i]) << "entry " << i;
   }
-  // Derived metadata must round-trip too (v2 stores it in the header; the
-  // v1 shim recomputes it).
+  // Derived metadata must round-trip too (both formats store it in the
+  // header).
   EXPECT_EQ(got.leaves.time_sorted(), EntriesTimeSorted(want));
   const Mbb3 gb = got.Bounds();
   const Mbb3 wb = want.Bounds();
@@ -96,8 +95,7 @@ void ExpectNodesEqual(const IndexNode& got, const IndexNode& want) {
 TEST(NodeCodecRandomTest, LeafRoundTripBothFormats) {
   Rng rng(20260805);
   for (const LeafPageFormat format :
-       {LeafPageFormat::kV1Aos, LeafPageFormat::kV2Soa,
-        LeafPageFormat::kV3Compressed}) {
+       {LeafPageFormat::kV2Soa, LeafPageFormat::kV3Compressed}) {
     for (int trial = 0; trial < 100; ++trial) {
       const int count =
           static_cast<int>(rng.UniformInt(0, IndexNode::kCapacity));
@@ -144,15 +142,15 @@ TEST(NodeCodecRandomTest, InternalRoundTrip) {
 TEST(NodeCodecRandomTest, VersionByteDiscriminates) {
   Rng rng(1);
   const IndexNode node = RandomLeafNode(&rng, 10, /*time_sorted=*/true);
-  Page v1;
   Page v2;
-  node.EncodeTo(&v1, LeafPageFormat::kV1Aos);
+  Page v3;
   node.EncodeTo(&v2, LeafPageFormat::kV2Soa);
-  // Byte 1 is the discriminator: second byte of the little-endian level in
-  // v1 (always 0), the format version in v2.
-  EXPECT_EQ(v1.bytes[1], 0);
+  node.EncodeTo(&v3, LeafPageFormat::kV3Compressed);
+  // Byte 1 is the discriminator: the format version in leaf pages, the
+  // second byte of the little-endian level (always 0) in v1 internal pages.
   EXPECT_EQ(v2.bytes[1], static_cast<uint8_t>(LeafPageFormat::kV2Soa));
-  // Internal nodes always take the v1 path regardless of requested format.
+  EXPECT_EQ(v3.bytes[1], static_cast<uint8_t>(LeafPageFormat::kV3Compressed));
+  // Internal nodes take the v1 path regardless of the leaf format.
   IndexNode internal;
   internal.level = 1;
   internal.internals.push_back({node.Bounds(), 7, 0});
@@ -160,6 +158,14 @@ TEST(NodeCodecRandomTest, VersionByteDiscriminates) {
   internal.EncodeTo(&pi, LeafPageFormat::kV2Soa);
   EXPECT_EQ(pi.bytes[1], 0);
   EXPECT_EQ(IndexNode::Decode(pi, 0).level, 1);
+  EXPECT_EQ(ValidateNodePage(v2), "");
+  EXPECT_EQ(ValidateNodePage(v3), "");
+  EXPECT_EQ(ValidateNodePage(pi), "");
+  // A v1 leaf (level 0 under format byte 0) is not a supported layout.
+  Page v1_leaf = pi;
+  v1_leaf.WriteAt<int32_t>(0, 0);
+  EXPECT_NE(ValidateNodePage(v1_leaf).find("v1 (row-major) leaf"),
+            std::string::npos);
 }
 
 TEST(NodeCodecRandomTest, V2ColumnsAtFixedOffsets) {
@@ -211,9 +217,15 @@ TEST(NodeCodecRandomTest, ZeroCopyViewMatchesDecodedView) {
       EXPECT_EQ(raw.Entry(i), ref.Entry(i)) << "entry " << i;
     }
   }
-  // v1 pages must be rejected by the version probe.
+  // Every other flavor must be rejected by the version probe.
+  Page v3;
+  RandomLeafNode(&rng, 5, true).EncodeTo(&v3, LeafPageFormat::kV3Compressed);
+  EXPECT_FALSE(IsV2LeafPage(v3));
+  IndexNode internal;
+  internal.level = 1;
+  internal.internals.push_back({RandomLeafEntry(&rng).Bounds(), 7, 0});
   Page v1;
-  RandomLeafNode(&rng, 5, true).EncodeTo(&v1, LeafPageFormat::kV1Aos);
+  internal.EncodeTo(&v1);
   EXPECT_FALSE(IsV2LeafPage(v1));
 }
 
@@ -833,65 +845,8 @@ TEST(NodeCodecV3InternalTest, V3InternalTreeQueryIdentical) {
   }
 }
 
-// A v1-written index *file* must be query-identical when read by the
-// current (v2-default) code path.
-TEST(NodeCodecCompatTest, V1FileQueryIdenticalUnderV2Code) {
-  GstdOptions gopt;
-  gopt.num_objects = 40;
-  gopt.samples_per_object = 60;
-  gopt.timestamp_jitter = 0.4;
-  gopt.seed = 424242;
-  const TrajectoryStore store = GenerateGstd(gopt);
-
-  TBTree::Options v1opt;
-  v1opt.leaf_format = LeafPageFormat::kV1Aos;
-  TBTree v1tree(v1opt);
-  v1tree.BuildFrom(store);
-  TBTree v2tree;  // default options write v2 pages
-  v2tree.BuildFrom(store);
-  ASSERT_EQ(v2tree.leaf_format(), LeafPageFormat::kV2Soa);
-  ASSERT_EQ(v1tree.NodeCount(), v2tree.NodeCount());
-
-  const std::string path = ::testing::TempDir() + "/v1_index.bin";
-  ASSERT_TRUE(SaveIndex(v1tree, path));
-  std::string error;
-  const auto loaded = LoadIndex(path, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-
-  v1tree.CheckInvariants();
-  loaded->CheckInvariants();
-
-  const BFMstSearch s_v1(&v1tree, &store);
-  const BFMstSearch s_v2(&v2tree, &store);
-  const BFMstSearch s_loaded(loaded.get(), &store);
-  MstOptions options;
-  options.k = 5;
-  for (size_t qi = 0; qi < store.size(); qi += 7) {
-    const Trajectory& query = store.trajectories()[qi];
-    options.exclude_id = query.id();
-    const TimeInterval period = query.Lifespan();
-    MstStats st_v1;
-    MstStats st_v2;
-    MstStats st_loaded;
-    const auto r_v1 = s_v1.Search(query, period, options, &st_v1);
-    const auto r_v2 = s_v2.Search(query, period, options, &st_v2);
-    const auto r_loaded = s_loaded.Search(query, period, options, &st_loaded);
-    ASSERT_EQ(r_v1.size(), r_v2.size());
-    ASSERT_EQ(r_v1.size(), r_loaded.size());
-    for (size_t i = 0; i < r_v1.size(); ++i) {
-      EXPECT_EQ(r_v1[i].id, r_v2[i].id);
-      EXPECT_EQ(r_v1[i].dissim, r_v2[i].dissim);
-      EXPECT_EQ(r_v1[i].id, r_loaded[i].id);
-      EXPECT_EQ(r_v1[i].dissim, r_loaded[i].dissim);
-    }
-    // Node accesses (the paper's I/O metric) are layout-independent.
-    EXPECT_EQ(st_v1.nodes_accessed, st_v2.nodes_accessed);
-    EXPECT_EQ(st_v1.nodes_accessed, st_loaded.nodes_accessed);
-    EXPECT_EQ(st_v1.leaf_entries_seen, st_v2.leaf_entries_seen);
-  }
-}
-
-// All three leaf formats — including a v3 file saved and reloaded — must
+// Both leaf formats, built in memory and saved and reloaded (a v3 file may
+// mix v2 fallback pages for incompressible leaves in with the v3 ones), must
 // produce bitwise-identical results and identical node-access counts.
 TEST(NodeCodecCompatTest, MixedFormatFilesQueryIdentical) {
   GstdOptions gopt;
@@ -901,10 +856,6 @@ TEST(NodeCodecCompatTest, MixedFormatFilesQueryIdentical) {
   gopt.seed = 424242;
   const TrajectoryStore store = GenerateGstd(gopt);
 
-  TBTree::Options v1opt;
-  v1opt.leaf_format = LeafPageFormat::kV1Aos;
-  TBTree v1tree(v1opt);
-  v1tree.BuildFrom(store);
   TBTree v2tree;  // default options write v2 pages
   v2tree.BuildFrom(store);
   TBTree::Options v3opt;
@@ -917,44 +868,53 @@ TEST(NodeCodecCompatTest, MixedFormatFilesQueryIdentical) {
   ASSERT_EQ(v3tree.root(), v2tree.root());
   v3tree.CheckInvariants();
 
-  const std::string path = ::testing::TempDir() + "/v3_index.bin";
-  ASSERT_TRUE(SaveIndex(v3tree, path));
+  const std::string v2_path = ::testing::TempDir() + "/v2_index.bin";
+  const std::string v3_path = ::testing::TempDir() + "/v3_index.bin";
+  ASSERT_TRUE(SaveIndex(v2tree, v2_path));
+  ASSERT_TRUE(SaveIndex(v3tree, v3_path));
   std::string error;
-  const auto loaded = LoadIndex(path, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-  loaded->CheckInvariants();
+  const auto loaded_v2 = LoadIndex(v2_path, &error);
+  ASSERT_NE(loaded_v2, nullptr) << error;
+  const auto loaded_v3 = LoadIndex(v3_path, &error);
+  ASSERT_NE(loaded_v3, nullptr) << error;
+  loaded_v2->CheckInvariants();
+  loaded_v3->CheckInvariants();
 
-  const BFMstSearch s_v1(&v1tree, &store);
   const BFMstSearch s_v2(&v2tree, &store);
   const BFMstSearch s_v3(&v3tree, &store);
-  const BFMstSearch s_loaded(loaded.get(), &store);
+  const BFMstSearch s_loaded_v2(loaded_v2.get(), &store);
+  const BFMstSearch s_loaded_v3(loaded_v3.get(), &store);
   MstOptions options;
   options.k = 5;
   for (size_t qi = 0; qi < store.size(); qi += 7) {
     const Trajectory& query = store.trajectories()[qi];
     options.exclude_id = query.id();
     const TimeInterval period = query.Lifespan();
-    MstStats st_v1;
     MstStats st_v2;
     MstStats st_v3;
-    MstStats st_loaded;
-    const auto r_v1 = s_v1.Search(query, period, options, &st_v1);
+    MstStats st_loaded_v2;
+    MstStats st_loaded_v3;
     const auto r_v2 = s_v2.Search(query, period, options, &st_v2);
     const auto r_v3 = s_v3.Search(query, period, options, &st_v3);
-    const auto r_loaded = s_loaded.Search(query, period, options, &st_loaded);
+    const auto r_loaded_v2 =
+        s_loaded_v2.Search(query, period, options, &st_loaded_v2);
+    const auto r_loaded_v3 =
+        s_loaded_v3.Search(query, period, options, &st_loaded_v3);
     ASSERT_EQ(r_v3.size(), r_v2.size());
-    ASSERT_EQ(r_v3.size(), r_v1.size());
-    ASSERT_EQ(r_v3.size(), r_loaded.size());
-    for (size_t i = 0; i < r_v3.size(); ++i) {
+    ASSERT_EQ(r_loaded_v2.size(), r_v2.size());
+    ASSERT_EQ(r_loaded_v3.size(), r_v2.size());
+    for (size_t i = 0; i < r_v2.size(); ++i) {
       EXPECT_EQ(r_v3[i].id, r_v2[i].id);
       EXPECT_EQ(r_v3[i].dissim, r_v2[i].dissim);
-      EXPECT_EQ(r_v3[i].id, r_v1[i].id);
-      EXPECT_EQ(r_v3[i].id, r_loaded[i].id);
-      EXPECT_EQ(r_v3[i].dissim, r_loaded[i].dissim);
+      EXPECT_EQ(r_loaded_v2[i].id, r_v2[i].id);
+      EXPECT_EQ(r_loaded_v2[i].dissim, r_v2[i].dissim);
+      EXPECT_EQ(r_loaded_v3[i].id, r_v2[i].id);
+      EXPECT_EQ(r_loaded_v3[i].dissim, r_v2[i].dissim);
     }
+    // Node accesses (the paper's I/O metric) are layout-independent.
     EXPECT_EQ(st_v3.nodes_accessed, st_v2.nodes_accessed);
-    EXPECT_EQ(st_v3.nodes_accessed, st_v1.nodes_accessed);
-    EXPECT_EQ(st_v3.nodes_accessed, st_loaded.nodes_accessed);
+    EXPECT_EQ(st_loaded_v2.nodes_accessed, st_v2.nodes_accessed);
+    EXPECT_EQ(st_loaded_v3.nodes_accessed, st_v2.nodes_accessed);
     EXPECT_EQ(st_v3.leaf_entries_seen, st_v2.leaf_entries_seen);
   }
 }

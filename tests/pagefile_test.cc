@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "src/index/buffer.h"
 #include "src/index/node.h"
@@ -157,21 +158,43 @@ TEST(BufferManagerTest, ByteBudgetKeepsMoreCompressedPagesResident) {
     f.Write(ids.back(), encoded);
   }
 
+  // A 4-page buffer is 4 pages' worth of bytes, and each compressed frame
+  // is charged only its occupied bytes: all 16 frames stay resident.
   BufferManager buf(&f, 4, /*num_shards=*/1);
-  for (const PageId id : ids) buf.Pin(id);
-  EXPECT_EQ(buf.resident_frames(), 4u);  // page budget: 4 frames, period
-
-  // The byte budget (4 pages' worth of bytes) holds every compressed frame.
-  buf.SetByteBudgetMode(true);
   for (const PageId id : ids) buf.Pin(id);
   EXPECT_EQ(buf.resident_frames(), 16u);
   const int64_t misses_before = buf.misses();
   for (const PageId id : ids) buf.Pin(id);
   EXPECT_EQ(buf.misses(), misses_before);  // all hits
+}
 
-  // Switching back re-applies the frame-count budget and evicts.
-  buf.SetByteBudgetMode(false);
-  EXPECT_LE(buf.resident_frames(), 4u);
+TEST(BufferManagerTest, RawPagesKeepExactlyCapacityFrames) {
+  // Raw v2 leaf and v1 internal pages occupy the full 4 KB, so the byte
+  // budget keeps exactly capacity() of them resident — the paper's
+  // page-count LRU.
+  IndexNode leaf;
+  leaf.level = 0;
+  leaf.leaves.push_back(LeafEntry::Of(1, {0.0, {0.0, 0.0}}, {1.0, {1.0, 1.0}}));
+  IndexNode internal;
+  internal.level = 1;
+  internal.internals.push_back({leaf.Bounds(), 0, 0});
+  Page v2_page;
+  Page v1_page;
+  leaf.EncodeTo(&v2_page);
+  internal.EncodeTo(&v1_page);
+  PageFile f;
+  for (int i = 0; i < 64; ++i) {
+    f.Write(f.Allocate(), i % 2 == 0 ? v2_page : v1_page);
+  }
+
+  BufferManager single(&f, 5, /*num_shards=*/1);
+  BufferManager sharded(&f, 16);  // default sharding: 2 pages per shard
+  for (PageId id = 0; id < 64; ++id) {
+    single.Pin(id);
+    sharded.Pin(id);
+  }
+  EXPECT_EQ(single.resident_frames(), single.capacity());
+  EXPECT_EQ(sharded.resident_frames(), sharded.capacity());
 }
 
 TEST(BufferManagerTest, PinnedFrameSurvivesEvictionPressure) {

@@ -10,7 +10,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -143,157 +142,6 @@ TEST(ResultCacheTest, SetCapacityZeroDisablesAndDropsEverything) {
   EXPECT_EQ(cache.misses(), misses_before);  // disabled lookups count nothing
   cache.SetCapacity(4);
   EXPECT_TRUE(cache.enabled());
-}
-
-TEST(ResultCacheTest, AdmissionThresholdSkipsCheapInserts) {
-  ResultCache cache(/*capacity_entries=*/8, /*num_shards=*/1);
-  EXPECT_EQ(cache.min_admission_cost(), 0.0);  // default: admit everything
-  cache.Insert(KeyOf(1), MarkedValue(1, 0), 0, /*cost=*/0.0);
-  EXPECT_EQ(cache.resident_entries(), 1u);
-
-  cache.SetMinAdmissionCost(100.0);
-  cache.Insert(KeyOf(2), MarkedValue(2, 0), 0, /*cost=*/99.0);  // too cheap
-  EXPECT_EQ(cache.resident_entries(), 1u);
-  EXPECT_EQ(cache.admission_skips(), 1);
-  cache.Insert(KeyOf(3), MarkedValue(3, 0), 0, /*cost=*/100.0);  // at bar
-  cache.Insert(KeyOf(4), MarkedValue(4, 0), 0);  // default +inf cost
-  EXPECT_EQ(cache.resident_entries(), 3u);
-  EXPECT_EQ(cache.admission_skips(), 1);
-
-  DissimResult out;
-  EXPECT_FALSE(cache.Lookup(KeyOf(2), 0, &out));
-  EXPECT_TRUE(cache.Lookup(KeyOf(3), 0, &out));
-  cache.ResetCounters();
-  EXPECT_EQ(cache.admission_skips(), 0);
-}
-
-// Admission only modulates which refinements occupy LRU slots — never what a
-// query returns. Locked against both extremes of the threshold.
-TEST(ResultCacheTest, AdmissionPolicyKeepsResultsByteIdentical) {
-  GstdOptions opt;
-  opt.num_objects = 40;
-  opt.samples_per_object = 100;
-  opt.seed = 31;
-  const TrajectoryStore store = GenerateGstd(opt);
-  TBTree index;
-  index.BuildFrom(store);
-
-  ResultCache admit_all(/*capacity_entries=*/1024);
-  ResultCache admit_none(/*capacity_entries=*/1024);
-  admit_none.SetMinAdmissionCost(1e18);  // every refinement is "too cheap"
-  const BFMstSearch s_all(&index, &store, &admit_all);
-  const BFMstSearch s_none(&index, &store, &admit_none);
-  const BFMstSearch s_plain(&index, &store);
-
-  MstOptions q_opt;
-  q_opt.k = 5;
-  q_opt.exact_postprocess = true;
-  Rng rng(37);
-  for (int i = 0; i < 6; ++i) {
-    const Trajectory& q =
-        store.trajectories()[rng.UniformIndex(store.trajectories().size())];
-    q_opt.exclude_id = q.id();
-    for (int pass = 0; pass < 2; ++pass) {
-      MstStats st_all;
-      MstStats st_none;
-      const auto a = s_all.Search(q, q.Lifespan(), q_opt, &st_all);
-      const auto n = s_none.Search(q, q.Lifespan(), q_opt, &st_none);
-      const auto p = s_plain.Search(q, q.Lifespan(), q_opt);
-      ASSERT_EQ(a.size(), p.size());
-      ASSERT_EQ(n.size(), p.size());
-      for (size_t j = 0; j < p.size(); ++j) {
-        EXPECT_EQ(a[j].id, p[j].id);
-        EXPECT_EQ(a[j].dissim, p[j].dissim);
-        EXPECT_EQ(n[j].id, p[j].id);
-        EXPECT_EQ(n[j].dissim, p[j].dissim);
-      }
-      EXPECT_EQ(st_all.nodes_accessed, st_none.nodes_accessed);
-    }
-  }
-  // The threshold did its job: nothing was ever admitted, so nothing could
-  // be served — every repeated refinement recomputed.
-  EXPECT_GT(admit_none.admission_skips(), 0);
-  EXPECT_EQ(admit_none.resident_entries(), 0u);
-  EXPECT_EQ(admit_none.hits(), 0);
-  EXPECT_GT(admit_all.hits(), 0);
-}
-
-TEST(ResultCacheTest, AdaptiveAdmissionTracksObservedCostsOnline) {
-  ResultCache cache(/*capacity_entries=*/8, /*num_shards=*/1);
-  EXPECT_FALSE(cache.adaptive_admission());  // default off
-  cache.SetAdaptiveAdmission(true);
-  ASSERT_TRUE(cache.adaptive_admission());
-  EXPECT_EQ(cache.admission_cost_estimate(), 0.0);
-
-  // The very first finite cost beats the zero estimate and is admitted.
-  cache.Insert(KeyOf(1), MarkedValue(1, 0), 0, /*cost=*/50.0);
-  EXPECT_EQ(cache.resident_entries(), 1u);
-  EXPECT_GT(cache.admission_cost_estimate(), 0.0);
-
-  // A stream with median ~100 pulls the streaming estimate toward it.
-  Rng rng(7);
-  for (int i = 0; i < 400; ++i) {
-    const double cost = 100.0 + rng.Uniform(-5.0, 5.0);
-    cache.Insert(KeyOf(2 + (i % 4)), MarkedValue(2, 0), 0, cost);
-  }
-  EXPECT_GT(cache.admission_cost_estimate(), 50.0);
-  EXPECT_LT(cache.admission_cost_estimate(), 150.0);
-
-  // A far-below-median refinement is now skipped without a tuned constant…
-  const int64_t skips = cache.admission_skips();
-  cache.Insert(KeyOf(7), MarkedValue(7, 0), 0, /*cost=*/1.0);
-  EXPECT_EQ(cache.admission_skips(), skips + 1);
-  DissimResult out;
-  EXPECT_FALSE(cache.Lookup(KeyOf(7), 0, &out));
-  // …while a far-above one is admitted, as is the default infinite cost
-  // (unknown costs must never be rejected).
-  cache.Insert(KeyOf(8), MarkedValue(8, 0), 0, /*cost=*/1e6);
-  cache.Insert(KeyOf(9), MarkedValue(9, 0), 0);
-  EXPECT_TRUE(cache.Lookup(KeyOf(8), 0, &out));
-  EXPECT_TRUE(cache.Lookup(KeyOf(9), 0, &out));
-}
-
-// Adaptive admission rides the same guarantee as the fixed threshold: it
-// only modulates slot occupancy, never what a query returns.
-TEST(ResultCacheTest, AdaptiveAdmissionKeepsResultsByteIdentical) {
-  GstdOptions opt;
-  opt.num_objects = 36;
-  opt.samples_per_object = 90;
-  opt.seed = 33;
-  const TrajectoryStore store = GenerateGstd(opt);
-  TBTree index;
-  index.BuildFrom(store);
-
-  ResultCache adaptive(/*capacity_entries=*/1024);
-  adaptive.SetAdaptiveAdmission(true);
-  const BFMstSearch s_adaptive(&index, &store, &adaptive);
-  const BFMstSearch s_plain(&index, &store);
-
-  MstOptions q_opt;
-  q_opt.k = 5;
-  q_opt.exact_postprocess = true;
-  Rng rng(39);
-  for (int i = 0; i < 6; ++i) {
-    const Trajectory& q =
-        store.trajectories()[rng.UniformIndex(store.trajectories().size())];
-    q_opt.exclude_id = q.id();
-    for (int pass = 0; pass < 2; ++pass) {
-      MstStats st_adaptive;
-      MstStats st_plain;
-      const auto a = s_adaptive.Search(q, q.Lifespan(), q_opt, &st_adaptive);
-      const auto p = s_plain.Search(q, q.Lifespan(), q_opt, &st_plain);
-      ASSERT_EQ(a.size(), p.size());
-      for (size_t j = 0; j < p.size(); ++j) {
-        EXPECT_EQ(a[j].id, p[j].id);
-        EXPECT_EQ(a[j].dissim, p[j].dissim);
-      }
-      EXPECT_EQ(st_adaptive.nodes_accessed, st_plain.nodes_accessed);
-    }
-  }
-  // The search fed real (finite) refine costs into the estimator, and the
-  // expensive half still produced cache hits on the repeat passes.
-  EXPECT_GT(adaptive.admission_cost_estimate(), 0.0);
-  EXPECT_GT(adaptive.hits(), 0);
 }
 
 // The tentpole guarantee, locked per policy: attaching the cache changes no

@@ -100,8 +100,8 @@ int CmdIndex(int argc, char** argv) {
   flags.AddString("data", &data, "input CSV dataset (required)");
   flags.AddString("kind", &kind, "rtree | rtree-bulk | tbtree | strtree");
   flags.AddString("leaf_format", &leaf_format,
-                  "leaf page layout: v1 (row-major) | v2 (columnar) | "
-                  "v3 (compressed columnar)");
+                  "leaf page layout: v2 (columnar) | v3 (compressed "
+                  "columnar)");
   flags.AddString("internal_format", &internal_format,
                   "internal-node page layout: v1 (raw) | v3 (compressed "
                   "columnar)");
@@ -119,14 +119,12 @@ int CmdIndex(int argc, char** argv) {
   if (!store.has_value()) return 1;
 
   TrajectoryIndex::Options options;
-  if (leaf_format == "v1") {
-    options.leaf_format = LeafPageFormat::kV1Aos;
-  } else if (leaf_format == "v2") {
+  if (leaf_format == "v2") {
     options.leaf_format = LeafPageFormat::kV2Soa;
   } else if (leaf_format == "v3") {
     options.leaf_format = LeafPageFormat::kV3Compressed;
   } else {
-    return Fail("unknown --leaf_format (use v1, v2 or v3)");
+    return Fail("unknown --leaf_format (use v2 or v3)");
   }
   if (internal_format == "v1") {
     options.internal_format = InternalPageFormat::kV1Aos;
@@ -201,8 +199,7 @@ struct QueryContext {
 };
 
 bool LoadContext(const std::string& data, const std::string& index_path,
-                 QueryContext* ctx, bool node_cache_bytes = false,
-                 bool node_cache_compressed = false) {
+                 QueryContext* ctx) {
   ctx->store = LoadData(data);
   if (!ctx->store.has_value()) return false;
   std::string error;
@@ -212,9 +209,6 @@ bool LoadContext(const std::string& data, const std::string& index_path,
     return false;
   }
   ctx->index->ConfigurePaperBuffer();
-  // Cache knobs apply after the paper-buffer reset so both start cold.
-  if (node_cache_bytes) ctx->index->node_cache().SetByteBudgetMode(true);
-  if (node_cache_compressed) ctx->index->node_cache().SetCompressedMode(true);
   return true;
 }
 
@@ -226,8 +220,6 @@ int CmdMst(int argc, char** argv) {
   double end = 0.0;
   int64_t k = 1;
   bool eager = false;
-  bool node_cache_bytes = false;
-  bool node_cache_compressed = false;
   FlagParser flags;
   flags.AddString("data", &data, "CSV dataset (required)");
   flags.AddString("index", &index_path, "index file (required)");
@@ -237,20 +229,13 @@ int CmdMst(int argc, char** argv) {
   flags.AddDouble("end", &end, "query period end (0 = full lifespan)");
   flags.AddInt("k", &k, "number of results");
   flags.AddBool("eager", &eager, "use eager completion (TB-tree only)");
-  flags.AddBool("node_cache_bytes", &node_cache_bytes,
-                "charge the node cache by resident bytes instead of entries");
-  flags.AddBool("node_cache_compressed", &node_cache_compressed,
-                "retain v3 pages encoded in the node cache, decode on hit");
   if (!flags.Parse(argc, argv)) return 1;
   if (data.empty() || index_path.empty()) {
     flags.PrintUsage("mst_cli mst");
     return Fail("--data and --index are required");
   }
   QueryContext ctx;
-  if (!LoadContext(data, index_path, &ctx, node_cache_bytes,
-                   node_cache_compressed)) {
-    return 1;
-  }
+  if (!LoadContext(data, index_path, &ctx)) return 1;
   const Trajectory* base = ctx.store->Find(query_id);
   if (base == nullptr) return Fail("unknown --query-id");
   if (end <= begin) {
@@ -293,15 +278,9 @@ int CmdMst(int argc, char** argv) {
               static_cast<long long>(stats.leaf_entries_seen));
   const NodeCache& cache = ctx.index->node_cache();
   if (cache.enabled()) {
-    std::string encoded;
-    if (cache.compressed()) {
-      encoded = ", " + std::to_string(cache.resident_compressed()) +
-                " held encoded";
-    }
-    std::printf("node cache: %zu nodes resident, %.1f KB%s (%s charging), "
+    std::printf("node cache: %zu nodes resident, %.1f KB, "
                 "%lld hits / %lld misses\n",
                 cache.resident_nodes(), cache.resident_bytes() / 1024.0,
-                encoded.c_str(), cache.byte_budget() ? "byte" : "entry",
                 static_cast<long long>(cache.hits()),
                 static_cast<long long>(cache.misses()));
   }
