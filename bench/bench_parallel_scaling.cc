@@ -91,11 +91,10 @@ int Main(int argc, char** argv) {
   for (const int workers : worker_counts) {
     QueryExecutor::Options opt;
     opt.num_workers = workers;
-    // The result cache and batch bound sharing would turn the measured
-    // (warm) batch into pure cache hits — bench_result_cache's subject, not
-    // this one's. Keep the workers doing the full traversal + refinement.
+    // The result cache would turn the measured (warm) batch into pure cache
+    // hits — bench_result_cache's subject, not this one's. Keep the workers
+    // doing the full traversal + refinement.
     opt.result_cache_entries = 0;
-    opt.share_batch_bounds = false;
     QueryExecutor executor(&index, &store, opt);
     executor.RunBatch(requests);  // warm-up: touches every query's pages
     WallTimer timer;

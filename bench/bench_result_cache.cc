@@ -1,20 +1,15 @@
-// Repeated-workload benchmark for the cross-query DISSIM result cache and
-// the executor's batch-level bound sharing. The workload is the production
-// pattern the cache targets: a set of k-MST queries replayed for several
-// rounds (monitoring dashboards, alerting sweeps, polling clients). Three
-// legs run the identical workload:
+// Repeated-workload benchmark for the cross-query DISSIM result cache. The
+// workload is the production pattern the cache targets: a set of k-MST
+// queries replayed for several rounds (monitoring dashboards, alerting
+// sweeps, polling clients). Two legs run the identical workload:
 //
-//   off    — BFMstSearch with no result cache (the PR-before-this baseline),
-//   on     — BFMstSearch with the result cache attached: round 2+ serves
-//            every §4.4 full-period refinement from the cache,
-//   shared — the same workload through QueryExecutor (one worker) with the
-//            result cache AND batch-level bound sharing, where repeats also
-//            start from the sibling-seeded kth upper bound.
+//   off — BFMstSearch with no result cache (the baseline),
+//   on  — BFMstSearch with the result cache attached: round 2+ serves
+//         every §4.4 full-period refinement from the cache.
 //
-// Off/on legs are interleaved and scored by best-of CPU time (single-thread
+// The legs are interleaved and scored by best-of CPU time (single-thread
 // cost comparison; robust on loaded CI machines). The bench exits nonzero
 // when the cache changes any result byte or any node-access count (exit 2),
-// when the shared leg changes a result or raises node accesses (exit 5),
 // when the JSON cannot be written (exit 3), or when the on-leg hit rate
 // falls below --min_hit_rate (exit 4).
 
@@ -26,7 +21,6 @@
 
 #include "bench/bench_common.h"
 #include "src/core/result_cache.h"
-#include "src/exec/query_executor.h"
 #include "src/util/flags.h"
 #include "src/util/timer.h"
 
@@ -43,7 +37,6 @@ struct LegResult {
   double best_seconds = 1e300;       // fastest repeat, whole workload
   int64_t cache_hits = 0;            // measured repeats only
   int64_t cache_misses = 0;
-  int64_t nodes_accessed = 0;        // per repeat (identical across repeats)
 };
 
 // One measured repeat: `rounds` passes over the query set. CPU time, not
@@ -53,7 +46,6 @@ void RunRepeat(const BFMstSearch& searcher,
                const MstOptions& options, int rounds, LegResult* out) {
   std::vector<QueryRecord> records;
   records.reserve(queries.size() * static_cast<size_t>(rounds));
-  int64_t nodes = 0;
   CpuTimer timer;
   for (int round = 0; round < rounds; ++round) {
     for (const Trajectory& q : queries) {
@@ -61,14 +53,12 @@ void RunRepeat(const BFMstSearch& searcher,
       QueryRecord rec;
       rec.results = searcher.Search(q, q.Lifespan(), options, &stats);
       rec.nodes_accessed = stats.nodes_accessed;
-      nodes += stats.nodes_accessed;
       records.push_back(std::move(rec));
     }
   }
   const double seconds = timer.ElapsedMs() / 1e3;
   if (seconds < out->best_seconds) out->best_seconds = seconds;
   out->records = std::move(records);
-  out->nodes_accessed = nodes;
 }
 
 // Interleaved off/on repeats (alternating legs keeps thermal drift and
@@ -102,61 +92,18 @@ void RunInterleaved(const TBTree& index, const TrajectoryStore& store,
   }
 }
 
-// The shared leg: the whole repeated workload as one executor batch. A fresh
-// executor per repeat gives a cold result cache and a fresh bound board, and
-// its single worker keeps the schedule (and so the numbers) deterministic.
-void RunSharedLeg(const TBTree& index, const TrajectoryStore& store,
-                  const std::vector<Trajectory>& queries,
-                  const MstOptions& options, int rounds, int repeats,
-                  size_t cache_entries, LegResult* out) {
-  std::vector<QueryRequest> requests;
-  requests.reserve(queries.size() * static_cast<size_t>(rounds));
-  for (int round = 0; round < rounds; ++round) {
-    for (const Trajectory& q : queries) {
-      requests.emplace_back(q, q.Lifespan(), options);
-    }
-  }
-  for (int rep = 0; rep < repeats; ++rep) {
-    QueryExecutor::Options exec_opt;
-    exec_opt.num_workers = 1;
-    exec_opt.result_cache_entries = cache_entries;
-    exec_opt.share_batch_bounds = true;
-    QueryExecutor executor(&index, &store, exec_opt);
-    CpuTimer timer;
-    const std::vector<QueryOutcome> outcomes = executor.RunBatch(requests);
-    const double seconds = timer.ElapsedMs() / 1e3;
-    std::vector<QueryRecord> records;
-    records.reserve(outcomes.size());
-    int64_t nodes = 0;
-    for (const QueryOutcome& o : outcomes) {
-      records.push_back({o.results, o.stats.nodes_accessed});
-      nodes += o.stats.nodes_accessed;
-    }
-    if (seconds < out->best_seconds) out->best_seconds = seconds;
-    out->records = std::move(records);
-    out->nodes_accessed = nodes;
-    out->cache_hits += executor.result_cache().hits();
-    out->cache_misses += executor.result_cache().misses();
-  }
-}
-
-// Bitwise result comparison between two legs; with `require_equal_nodes` the
-// per-query node-access counts must match too (the off/on contract), without
-// it they must not exceed the reference (the shared-leg contract: seeded
-// bounds may only prune more).
-bool LegsAgree(const char* name, const LegResult& ref, const LegResult& leg,
-               bool require_equal_nodes) {
+// Bitwise result comparison between two legs, per-query node-access counts
+// included.
+bool LegsAgree(const char* name, const LegResult& ref, const LegResult& leg) {
   if (ref.records.size() != leg.records.size()) return false;
   for (size_t i = 0; i < ref.records.size(); ++i) {
     const QueryRecord& a = ref.records[i];
     const QueryRecord& b = leg.records[i];
-    if (require_equal_nodes ? (a.nodes_accessed != b.nodes_accessed)
-                            : (b.nodes_accessed > a.nodes_accessed)) {
+    if (a.nodes_accessed != b.nodes_accessed) {
       std::fprintf(stderr,
-                   "[result_cache] %s: query %zu node accesses %s "
+                   "[result_cache] %s: query %zu node accesses differ "
                    "(ref=%" PRId64 " leg=%" PRId64 ")\n",
-                   name, i, require_equal_nodes ? "differ" : "grew",
-                   a.nodes_accessed, b.nodes_accessed);
+                   name, i, a.nodes_accessed, b.nodes_accessed);
       return false;
     }
     if (a.results.size() != b.results.size()) {
@@ -265,40 +212,21 @@ int Main(int argc, char** argv) {
   RunInterleaved(index, store, query_set, options, static_cast<int>(rounds),
                  static_cast<int>(repeats),
                  static_cast<size_t>(cache_entries), &off, &on);
-  std::fprintf(stderr, "[result_cache] measuring shared leg...\n");
-  LegResult shared;
-  RunSharedLeg(index, store, query_set, options, static_cast<int>(rounds),
-               static_cast<int>(repeats), static_cast<size_t>(cache_entries),
-               &shared);
 
-  if (!LegsAgree("on", off, on, /*require_equal_nodes=*/true)) {
+  if (!LegsAgree("on", off, on)) {
     std::fprintf(stderr,
                  "[result_cache] FAIL: the cache changed results or "
                  "node-access counts\n");
     return 2;
   }
-  if (!LegsAgree("shared", off, shared, /*require_equal_nodes=*/false)) {
-    std::fprintf(stderr,
-                 "[result_cache] FAIL: bound sharing changed results or "
-                 "raised node accesses\n");
-    return 5;
-  }
 
   const double qps_off = static_cast<double>(total_queries) / off.best_seconds;
   const double qps_on = static_cast<double>(total_queries) / on.best_seconds;
-  const double qps_shared =
-      static_cast<double>(total_queries) / shared.best_seconds;
   const double speedup_on = qps_on / qps_off;
-  const double speedup_shared = qps_shared / qps_off;
   const int64_t lookups = on.cache_hits + on.cache_misses;
   const double hit_rate =
       lookups > 0
           ? static_cast<double>(on.cache_hits) / static_cast<double>(lookups)
-          : 0.0;
-  const double node_reduction =
-      off.nodes_accessed > 0
-          ? 1.0 - static_cast<double>(shared.nodes_accessed) /
-                      static_cast<double>(off.nodes_accessed)
           : 0.0;
 
   std::printf("== Cross-query result cache (repeated workload) ==\n");
@@ -309,8 +237,6 @@ int Main(int argc, char** argv) {
   std::printf("cache off    : %8.1f q/s\n", qps_off);
   std::printf("cache on     : %8.1f q/s  (%.2fx, hit rate %.1f%%)\n", qps_on,
               speedup_on, 100.0 * hit_rate);
-  std::printf("cache+bounds : %8.1f q/s  (%.2fx, node accesses -%.1f%%)\n",
-              qps_shared, speedup_shared, 100.0 * node_reduction);
 
   if (std::FILE* f = bench::OpenBenchJson(out_path)) {
     std::fprintf(f,
@@ -326,19 +252,15 @@ int Main(int argc, char** argv) {
                  "  \"seed\": %" PRId64 ",\n"
                  "  \"qps_cache_off\": %.2f,\n"
                  "  \"qps_cache_on\": %.2f,\n"
-                 "  \"qps_cache_shared\": %.2f,\n"
                  "  \"speedup\": %.4f,\n"
-                 "  \"speedup_shared\": %.4f,\n"
                  "  \"cache_hits\": %" PRId64 ",\n"
                  "  \"cache_misses\": %" PRId64 ",\n"
-                 "  \"cache_hit_rate\": %.4f,\n"
-                 "  \"shared_node_access_reduction\": %.4f\n"
+                 "  \"cache_hit_rate\": %.4f\n"
                  "}\n",
                  bench::SDatasetName(static_cast<int>(objects)).c_str(),
                  samples, queries, rounds, k, length, repeats, cache_entries,
-                 policy.c_str(), seed, qps_off, qps_on, qps_shared, speedup_on,
-                 speedup_shared, on.cache_hits, on.cache_misses, hit_rate,
-                 node_reduction);
+                 policy.c_str(), seed, qps_off, qps_on, speedup_on,
+                 on.cache_hits, on.cache_misses, hit_rate);
     std::fclose(f);
     std::fprintf(stderr, "[result_cache] wrote %s\n", out_path.c_str());
   } else {

@@ -342,17 +342,15 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
       continue;
     }
 
-    // Leaf: stream the columns straight from the page (zero-copy for v2
-    // pages with the node cache off — see ReadLeafColumns). One
-    // vectorizable pass over the columnar view computes every entry's query
-    // window and its DISSIM lower bound (batched leaf-level pruning), then
-    // entries are processed in temporal order (the paper's line 10).
-    // TB-tree leaves carry the time-sorted header flag — iterate the
-    // columns directly; only the 3D R-tree's unsorted leaves argsort an
-    // index permutation (no entry copies either way).
-    const TrajectoryIndex::LeafPageRead leaf =
-        tree->ReadLeafColumns(top.page);
-    const LeafView& view = leaf.view;
+    // Leaf: stream the decoded node's columns. One vectorizable pass over
+    // the columnar view computes every entry's query window and its DISSIM
+    // lower bound (batched leaf-level pruning), then entries are processed
+    // in temporal order (the paper's line 10). TB-tree leaves carry the
+    // time-sorted header flag — iterate the columns directly; only the 3D
+    // R-tree's unsorted leaves argsort an index permutation (no entry copies
+    // either way).
+    const NodeRef leaf = tree->ReadNode(top.page);
+    const LeafView view = leaf->leaves.View();
     ComputeLeafBatch(view, period, query_box, &batch);
     const int* order = nullptr;
     if (!view.time_sorted) {
@@ -453,10 +451,9 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
             list.OptDissim(vmax) <= kth) {
           PageId chain = tree->TrajectoryChainHead(id);
           while (chain != kInvalidPageId) {
-            const TrajectoryIndex::LeafPageRead link =
-                tree->ReadLeafColumns(chain);
-            chain = link.next_leaf;
-            const LeafView& cv = link.view;
+            const NodeRef link = tree->ReadNode(chain);
+            chain = link->next_leaf;
+            const LeafView cv = link->leaves.View();
             // A page whose time range misses the period contributes no
             // pieces; one header test skips its entries (the page read
             // above still counts, so I/O accounting is unchanged).

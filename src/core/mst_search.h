@@ -102,10 +102,10 @@ struct MstOptions {
   TrajectoryId exclude_id = kInvalidTrajectoryId;
   /// Externally supplied upper bound on the kth-best DISSIM, used to seed
   /// the prune bound that Heuristics 1 and 2 compare against (the search
-  /// starts from min(this, its own kth bound) instead of +inf). The batch
-  /// executor seeds it from an already-completed sibling query with the
-  /// same geometry, period, k reach, and exclude id (see
-  /// QueryExecutor::Options::share_batch_bounds).
+  /// starts from min(this, its own kth bound) instead of +inf). The query
+  /// executor seeds it from a request's cross-shard KthBoundBoard, where the
+  /// per-shard legs of one scatter-gather query publish their exact kth
+  /// values (see QueryRequest::kth_bound_board).
   ///
   /// Soundness contract: the value MUST be a true upper bound of the kth
   /// smallest exact DISSIM of this query — then, with exact_postprocess on

@@ -3,8 +3,7 @@
 // logical k-MST query. The shard layer (src/shard/) hands one board to the
 // per-shard legs of a scatter-gather query: a shard that completes first
 // publishes its exact kth result value, and legs that start later seed
-// MstOptions::initial_kth_upper_bound from the board's current minimum —
-// the cross-shard generalization of the executor's per-batch bound sharing.
+// MstOptions::initial_kth_upper_bound from the board's current minimum.
 //
 // Soundness contract (the reason publishing is restricted): every
 // participant of one board must search a *disjoint subset* of one logical
@@ -28,10 +27,11 @@
 namespace mst {
 
 /// Monotonically decreasing shared upper bound (starts at +inf). Publish is
-/// an atomic fetch-min; Current is one relaxed load. Safe for any number of
-/// concurrent publishers and readers; no ordering is implied between a
-/// publish and the reads of other data (the bound's *value* is self-
-/// certifying — a sound bound is sound whenever it is observed).
+/// an atomic fetch-min plus a diagnostic count; Current is one relaxed load.
+/// Safe for any number of concurrent publishers and readers; no ordering is
+/// implied between a publish and the reads of other data (the bound's
+/// *value* is self-certifying — a sound bound is sound whenever it is
+/// observed).
 class KthBoundBoard {
  public:
   KthBoundBoard() = default;
@@ -44,9 +44,11 @@ class KthBoundBoard {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }
 
-  /// Lowers the board to min(current, bound). Non-finite or negative bounds
-  /// are ignored (never a usable prune bound; a NaN would poison the min).
+  /// Lowers the board to min(current, bound) and counts the publish.
+  /// Non-finite or negative bounds are counted but otherwise ignored (never
+  /// a usable prune bound; a NaN would poison the min).
   void Publish(double bound) {
+    publishes_.fetch_add(1, std::memory_order_relaxed);
     if (!(bound >= 0.0) || bound == std::numeric_limits<double>::infinity()) {
       return;
     }
@@ -60,17 +62,10 @@ class KthBoundBoard {
     }
   }
 
-  /// Publishes since construction (diagnostics: how often shards actually
-  /// lowered the board).
+  /// Publish calls since construction (diagnostics: how often shard legs
+  /// offered the board a bound).
   int64_t publish_count() const {
     return publishes_.load(std::memory_order_relaxed);
-  }
-
-  /// Publish() plus the diagnostic count (kept separate so the hot path can
-  /// skip the extra atomic when the caller does not track it).
-  void PublishCounted(double bound) {
-    Publish(bound);
-    publishes_.fetch_add(1, std::memory_order_relaxed);
   }
 
  private:

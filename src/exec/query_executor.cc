@@ -1,91 +1,11 @@
 #include "src/exec/query_executor.h"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "src/util/check.h"
 
 namespace mst {
-
-namespace internal {
-
-// Per-RunBatch blackboard for kth-bound sharing. Completed queries publish
-// their ascending exact result values keyed by (query fingerprint, period,
-// exclude id, integration policy, exact-postprocess flag); queued siblings
-// under the same key seed their search's kth upper bound with the published
-// kth value — by construction the true kth smallest exact DISSIM of that
-// key's eligible set, so the seed meets
-// MstOptions::initial_kth_upper_bound's soundness contract exactly. A fresh
-// board per batch means bounds never leak across batches.
-//
-// The policy and postprocess fields are in the key even though WorkerLoop
-// already gates both publish and consume on (exact_postprocess && policy ==
-// kExact): with the fingerprint alone, a mixed batch that duplicates one
-// query geometry under kExact *and* kTrapezoid would depend on that distant
-// gate to keep the trapezoid sibling's values away from the exact one — a
-// trapezoid-traversal value is not a sound bound for an exact search, so a
-// future gate relaxation would silently change results. Keying on the full
-// result-determining option set makes cross-policy seeding structurally
-// impossible (regression-locked by
-// ExecutorTest.MixedPolicyDuplicatesNeverShareBounds).
-struct BatchBoundBoard {
-  struct Key {
-    QueryFingerprint fp;
-    double period_begin = 0.0;
-    double period_end = 0.0;
-    TrajectoryId exclude = kInvalidTrajectoryId;
-    IntegrationPolicy policy = IntegrationPolicy::kExact;
-    bool exact_postprocess = true;
-
-    bool operator==(const Key& o) const {
-      return fp == o.fp && period_begin == o.period_begin &&
-             period_end == o.period_end && exclude == o.exclude &&
-             policy == o.policy && exact_postprocess == o.exact_postprocess;
-    }
-  };
-
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      uint64_t h = k.fp.lo ^ (k.fp.hi * 0x9e3779b97f4a7c15ull);
-      h = (h ^ std::bit_cast<uint64_t>(k.period_begin)) * 1099511628211ull;
-      h = (h ^ std::bit_cast<uint64_t>(k.period_end)) * 1099511628211ull;
-      h ^= static_cast<uint64_t>(k.exclude) + (h >> 29);
-      h = (h ^ (static_cast<uint64_t>(k.policy) * 2u +
-                (k.exact_postprocess ? 1u : 0u))) *
-          1099511628211ull;
-      return static_cast<size_t>(h);
-    }
-  };
-
-  std::mutex mu;
-  // Longest ascending exact-dissim vector published per key: a prefix of
-  // length k of any published vector is the true top-k values, so keeping
-  // the longest serves every sibling reach.
-  std::unordered_map<Key, std::vector<double>, KeyHash> published;
-
-  // kth smallest exact DISSIM for `key` if a sibling with reach >= k has
-  // completed, else +inf (no seed).
-  double SeedBound(const Key& key, int k) {
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = published.find(key);
-    if (it == published.end() ||
-        it->second.size() < static_cast<size_t>(k)) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return it->second[static_cast<size_t>(k - 1)];
-  }
-
-  void Publish(const Key& key, std::vector<double> dissims) {
-    std::lock_guard<std::mutex> lock(mu);
-    std::vector<double>& cur = published[key];
-    if (dissims.size() > cur.size()) cur = std::move(dissims);
-  }
-};
-
-}  // namespace internal
 
 namespace {
 
@@ -121,7 +41,6 @@ QueryExecutor::QueryExecutor(IndexViewProvider provider,
                              const Options& options)
     : provider_(std::move(provider)),
       result_cache_(options.result_cache_entries),
-      share_batch_bounds_(options.share_batch_bounds),
       queue_(options.queue_capacity) {
   MST_CHECK(provider_ != nullptr);
   int workers = options.num_workers;
@@ -141,32 +60,23 @@ void QueryExecutor::WorkerLoop() {
   while (std::optional<Task> task = queue_.Pop()) {
     QueryOutcome out;
     MstOptions opts = task->request.options;
-    // Bound sharing is gated on exact_postprocess AND an exact traversal
-    // policy, at both ends: only exact results are published (anything else
-    // wouldn't be a sound bound), and only searches whose candidate bounds
-    // are built from exact piece integrals consume a seed. Under an
-    // approximate policy (trapezoid pieces) the traversal's OPTDISSIM-style
-    // bounds can overestimate the exact value by the quadrature error, so
-    // an exact-valued seed could prune a true top-k candidate — see
-    // MstOptions::initial_kth_upper_bound.
-    const bool exact_query = opts.exact_postprocess &&
-                             opts.policy == IntegrationPolicy::kExact;
-    const bool share = task->board != nullptr && exact_query;
-    internal::BatchBoundBoard::Key key;
-    if (share) {
-      key = {FingerprintQuery(task->request.query),
-             task->request.period.begin, task->request.period.end,
-             opts.exclude_id, opts.policy, opts.exact_postprocess};
-      opts.initial_kth_upper_bound = std::min(
-          opts.initial_kth_upper_bound, task->board->SeedBound(key, opts.k));
-    }
     // Cross-executor board (scatter-gather legs of one logical query):
-    // seeded at dequeue time under the same exact gate, so a leg queued
-    // behind earlier work starts with every bound its siblings published
-    // while it waited. The search inflates the seed by its relative slack
-    // internally (see MstOptions::initial_kth_upper_bound).
-    KthBoundBoard* const shard_board = task->request.kth_bound_board.get();
-    if (shard_board != nullptr && exact_query) {
+    // seeded at dequeue time, so a leg queued behind earlier work starts
+    // with every bound its siblings published while it waited. Sharing is
+    // gated on exact_postprocess AND an exact traversal policy, at both
+    // ends: only exact results are published (anything else wouldn't be a
+    // sound bound), and only searches whose candidate bounds are built from
+    // exact piece integrals consume a seed. Under an approximate policy
+    // (trapezoid pieces) the traversal's OPTDISSIM-style bounds can
+    // overestimate the exact value by the quadrature error, so an
+    // exact-valued seed could prune a true top-k candidate — see
+    // MstOptions::initial_kth_upper_bound. The search inflates the seed by
+    // its relative slack internally.
+    KthBoundBoard* const shard_board =
+        opts.exact_postprocess && opts.policy == IntegrationPolicy::kExact
+            ? task->request.kth_bound_board.get()
+            : nullptr;
+    if (shard_board != nullptr) {
       opts.initial_kth_upper_bound =
           std::min(opts.initial_kth_upper_bound, shard_board->Current());
     }
@@ -178,18 +88,12 @@ void QueryExecutor::WorkerLoop() {
                                &result_cache_, view.delta.get());
     out.results = searcher.Search(task->request.query, task->request.period,
                                   opts, &out.stats);
-    if (shard_board != nullptr && exact_query &&
+    if (shard_board != nullptr &&
         out.results.size() == static_cast<size_t>(opts.k)) {
       // Full reach only: with fewer than k results the kth value of this
       // leg's partition does not exist, and the largest returned value
       // bounds nothing (see KthBoundBoard's soundness contract).
-      shard_board->PublishCounted(out.results.back().dissim);
-    }
-    if (share && !out.results.empty()) {
-      std::vector<double> dissims;
-      dissims.reserve(out.results.size());
-      for (const MstResult& r : out.results) dissims.push_back(r.dissim);
-      task->board->Publish(key, std::move(dissims));
+      shard_board->Publish(out.results.back().dissim);
     }
     completed_.fetch_add(1, std::memory_order_relaxed);
     task->promise.set_value(std::move(out));
@@ -197,13 +101,7 @@ void QueryExecutor::WorkerLoop() {
 }
 
 std::future<QueryOutcome> QueryExecutor::Submit(QueryRequest request) {
-  return SubmitTask(std::move(request), nullptr);
-}
-
-std::future<QueryOutcome> QueryExecutor::SubmitTask(
-    QueryRequest request, std::shared_ptr<internal::BatchBoundBoard> board) {
   Task task(std::move(request));
-  task.board = std::move(board);
   std::future<QueryOutcome> future = task.promise.get_future();
   if (shutdown_.load(std::memory_order_acquire)) {
     cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -223,17 +121,10 @@ std::future<QueryOutcome> QueryExecutor::SubmitTask(
 
 std::vector<QueryOutcome> QueryExecutor::RunBatch(
     const std::vector<QueryRequest>& requests) {
-  // One fresh bound board per batch (only worth allocating when a sibling
-  // could exist). Fresh per call keeps RunBatch deterministic run to run:
-  // nothing published here outlives the batch.
-  std::shared_ptr<internal::BatchBoundBoard> board;
-  if (share_batch_bounds_ && requests.size() > 1) {
-    board = std::make_shared<internal::BatchBoundBoard>();
-  }
   std::vector<std::future<QueryOutcome>> futures;
   futures.reserve(requests.size());
   for (const QueryRequest& request : requests) {
-    futures.push_back(SubmitTask(request, board));
+    futures.push_back(Submit(request));
   }
   std::vector<QueryOutcome> outcomes;
   outcomes.reserve(requests.size());

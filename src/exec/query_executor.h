@@ -33,10 +33,6 @@
 
 namespace mst {
 
-namespace internal {
-struct BatchBoundBoard;
-}  // namespace internal
-
 /// A point-in-time read view of one index stack: the packed main tree, an
 /// optional delta tree over not-yet-merged segments (searched as a forest,
 /// see BFMstSearch), and the trajectory source backing both. The shared_ptrs
@@ -117,16 +113,6 @@ class QueryExecutor {
     /// stats are byte-identical either way — the cache only skips repeated
     /// post-processing integrals.
     size_t result_cache_entries = 1 << 14;
-    /// Batch-level kth-bound sharing: when queued queries of one RunBatch
-    /// call share a query fingerprint, period, and exclude id, later ones
-    /// seed MstOptions::initial_kth_upper_bound from an already-completed
-    /// sibling's exact kth result value — a true bound, so results are
-    /// unchanged while node accesses drop. Applied only under
-    /// exact_postprocess with an exact traversal policy (approximate piece
-    /// integrals are not lower bounds of the exact values, so a seed could
-    /// change results there); the board is fresh per RunBatch and plain
-    /// Submit() is never seeded, so repeated batches stay deterministic.
-    bool share_batch_bounds = true;
   };
 
   /// What happens to queued-but-unstarted requests on shutdown.
@@ -197,19 +183,12 @@ class QueryExecutor {
 
     QueryRequest request;
     std::promise<QueryOutcome> promise;
-    /// Non-null for RunBatch tasks with bound sharing on: the batch's
-    /// blackboard of completed siblings' exact result values.
-    std::shared_ptr<internal::BatchBoundBoard> board;
   };
 
   void WorkerLoop();
 
-  std::future<QueryOutcome> SubmitTask(
-      QueryRequest request, std::shared_ptr<internal::BatchBoundBoard> board);
-
   IndexViewProvider provider_;
   ResultCache result_cache_;  // shared by the per-task searchers
-  bool share_batch_bounds_;
   BoundedQueue<Task> queue_;
   std::vector<std::thread> workers_;
   std::atomic<bool> shutdown_{false};

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/index/node_codec_v3.h"
+#include "src/index/leaf_codec_v3.h"
 #include "src/util/check.h"
 
 namespace mst {
@@ -119,10 +119,10 @@ void BufferManager::AssignShardBudgets() {
 }
 
 size_t BufferManager::ChargeOf(const Page& page) {
-  // PageOccupiedBytes covers every flavor: compressed v3 leaf and internal
-  // pages charge their payload, raw v1/v2 pages the full 4 KB — so a raw
-  // index evicts exactly like a page-count LRU of capacity_ frames.
-  return PageOccupiedBytes(page);
+  // Compressed v3 leaves charge their payload, raw v1/v2 pages the full
+  // 4 KB — so a raw index evicts exactly like a page-count LRU of
+  // capacity_ frames.
+  return LeafPageOccupiedBytes(page);
 }
 
 void BufferManager::EvictLocked(BufferShard& shard) {

@@ -3,9 +3,9 @@
 //
 // Sizing: a buffer of `capacity()` pages holds `capacity() × kPageSize`
 // bytes, and every resident frame is charged its page's occupied bytes
-// (PageOccupiedBytes). Raw v1/v2 pages occupy the full 4 KB, so a raw index
-// keeps exactly `capacity()` frames resident; a v3 compressed page charges
-// only its header and compressed columns, so the same buffer keeps
+// (LeafPageOccupiedBytes). Raw v1/v2 pages occupy the full 4 KB, so a raw
+// index keeps exactly `capacity()` frames resident; a v3 compressed leaf
+// charges only its header and compressed columns, so the same buffer keeps
 // proportionally more of a compressed index resident.
 //
 // Concurrency model: the frame table is split into shards, each with its own

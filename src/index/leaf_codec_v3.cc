@@ -36,8 +36,8 @@ static_assert(kV3OffPayload >= kV3OffLengths + 2 * kV3ColumnCount,
               "subheader must fit tags + lengths");
 
 // The generic column machinery (key bijections, bit packing, delta
-// transforms, length validation) lives in the shared toolkit so the
-// internal-page codec reuses it byte-for-byte; see v3_column_codec.h.
+// transforms, length validation) lives in the toolkit header
+// v3_column_codec.h.
 using v3detail::ColPlan;
 using v3detail::DodDeltas;
 using v3detail::DoubleKey;

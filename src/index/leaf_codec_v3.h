@@ -93,7 +93,7 @@ bool IsV3LeafPage(const Page& page);
 
 /// Bytes of `page` actually occupied by payload: header + subheader +
 /// compressed columns for a v3 page, the full 4 KB for anything else. This
-/// is what the buffer pool charges a resident leaf frame.
+/// is what the buffer pool charges every resident frame.
 size_t LeafPageOccupiedBytes(const Page& page);
 
 /// The seven column encoding tags of a v3 page (diagnostics/tests/bench).

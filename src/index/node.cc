@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/index/leaf_codec_v3.h"
-#include "src/index/node_codec_v3.h"
 #include "src/util/check.h"
 
 namespace mst {
@@ -27,6 +26,10 @@ constexpr size_t kV2OffBounds = 16;
 constexpr size_t kV2OffColumns = kLeafHeaderV2Size;
 
 constexpr uint8_t kV2FlagTimeSorted = 1u;
+
+// Format byte of the retired v3 compressed internal page, kept only so
+// ValidateNodePage can name it.
+constexpr uint8_t kRetiredV3InternalVersion = 4;
 
 static_assert(sizeof(Mbb3) == 48, "v2 header embeds the MBB verbatim");
 static_assert(kV2OffBounds + sizeof(Mbb3) == kLeafHeaderV2Size);
@@ -121,8 +124,7 @@ Mbb3 IndexNode::Bounds() const {
   return m;
 }
 
-void IndexNode::EncodeTo(Page* page, LeafPageFormat leaf_format,
-                         InternalPageFormat internal_format) const {
+void IndexNode::EncodeTo(Page* page, LeafPageFormat leaf_format) const {
   const int count = Count();
   MST_CHECK_MSG(count <= kCapacity, "node overflow at encode time");
 
@@ -131,12 +133,6 @@ void IndexNode::EncodeTo(Page* page, LeafPageFormat leaf_format,
     // Incompressible leaf: the compressed columns don't fit the page, so
     // degrade to the raw v2 layout below. Decode dispatches on the version
     // byte, so readers never notice.
-  }
-
-  if (!IsLeaf() && internal_format == InternalPageFormat::kV3Compressed) {
-    // Same degradation story as leaves: an incompressible internal node
-    // (adversarial child MBBs) falls through to the raw v1 layout below.
-    if (EncodeInternalV3(*this, page)) return;
   }
 
   if (IsLeaf()) {  // v2 columnar leaf layout
@@ -162,7 +158,7 @@ void IndexNode::EncodeTo(Page* page, LeafPageFormat leaf_format,
     return;
   }
 
-  // v1 internal layout (the default, and the incompressible fallback).
+  // v1 internal layout.
   page->WriteAt<int32_t>(0, level);
   page->WriteAt<int32_t>(4, count);
   page->WriteAt<PageId>(8, parent);
@@ -173,33 +169,6 @@ void IndexNode::EncodeTo(Page* page, LeafPageFormat leaf_format,
     std::memcpy(page->bytes.data() + kHeaderSize, internals.data(),
                 static_cast<size_t>(count) * kEntrySize);
   }
-}
-
-bool IsV2LeafPage(const Page& page) {
-  return page.ReadAt<uint8_t>(kV2OffVersion) ==
-         static_cast<uint8_t>(LeafPageFormat::kV2Soa);
-}
-
-LeafView ViewOfV2LeafPage(const Page& page, PageId* next_leaf) {
-  MST_DCHECK(IsV2LeafPage(page));
-  LeafView v;
-  v.count = page.ReadAt<uint8_t>(kV2OffCount);
-  v.time_sorted =
-      (page.ReadAt<uint8_t>(kV2OffFlags) & kV2FlagTimeSorted) != 0;
-  v.bounds = page.ReadAt<Mbb3>(kV2OffBounds);
-  if (next_leaf != nullptr) *next_leaf = page.ReadAt<PageId>(kV2OffNextLeaf);
-  // The column region is an exact LeafBlock image at an 8-byte-aligned
-  // offset of the (alignas(8)) page, so the columns are readable in place.
-  const auto* block =
-      reinterpret_cast<const LeafBlock*>(page.bytes.data() + kV2OffColumns);
-  v.t0 = block->t0;
-  v.x0 = block->x0;
-  v.y0 = block->y0;
-  v.t1 = block->t1;
-  v.x1 = block->x1;
-  v.y1 = block->y1;
-  v.traj_id = block->traj_id;
-  return v;
 }
 
 IndexNode IndexNode::Decode(const Page& page, PageId self) {
@@ -234,18 +203,6 @@ IndexNode IndexNode::Decode(const Page& page, PageId self) {
     DecodeV3Columns(page, count, block);
     return node;
   }
-  if (version == kV3InternalVersion) {
-    node.level = page.ReadAt<uint8_t>(kV2OffLevel);
-    MST_CHECK_MSG(node.level >= 1, "corrupt v3 internal level");
-    const int count = page.ReadAt<uint8_t>(kV2OffCount);
-    MST_CHECK_MSG(count <= kCapacity, "corrupt v3 internal count");
-    node.parent = page.ReadAt<PageId>(kV2OffParent);
-    node.prev_leaf = page.ReadAt<PageId>(kV2OffPrevLeaf);
-    node.next_leaf = page.ReadAt<PageId>(kV2OffNextLeaf);
-    node.internals.resize(static_cast<size_t>(count));
-    DecodeInternalV3(page, count, node.internals.data());
-    return node;
-  }
   MST_CHECK_MSG(version == 0, "unknown node format version");
 
   // v1 internal layout.
@@ -278,9 +235,8 @@ std::string ValidateNodePage(const Page& page) {
     const std::string problem = ValidateV3LeafPage(page);
     return problem.empty() ? "" : "corrupt v3 leaf page: " + problem;
   }
-  if (version == kV3InternalVersion) {
-    const std::string problem = ValidateV3InternalPage(page);
-    return problem.empty() ? "" : "corrupt v3 internal page: " + problem;
+  if (version == kRetiredV3InternalVersion) {
+    return "v3 internal pages are no longer supported; rebuild the index";
   }
   if (version != 0) {
     return "unsupported page format byte " + std::to_string(version);
@@ -297,6 +253,15 @@ std::string ValidateNodePage(const Page& page) {
            " outside [0, " + std::to_string(kNodeCapacity) + "]";
   }
   return "";
+}
+
+int32_t NodePageLevel(const Page& page) {
+  const uint8_t version = page.ReadAt<uint8_t>(kV2OffVersion);
+  if (version == static_cast<uint8_t>(LeafPageFormat::kV2Soa) ||
+      version == static_cast<uint8_t>(LeafPageFormat::kV3Compressed)) {
+    return 0;
+  }
+  return page.ReadAt<int32_t>(0);
 }
 
 }  // namespace mst

@@ -17,24 +17,23 @@
 //                      Incompressible leaves degrade to plain v2 pages at
 //                      encode time.
 //
-// Internal nodes use the v1 layout by default — a 24-byte header (level,
-// entry count, parent page, two unused page links) followed by 56-byte
-// row-major entries (child MBB + child page) — or a v3 compressed layout
-// (version byte 4; see src/index/node_codec_v3.h) when configured. Fanout is
-// (4096 − 24) / 56 = 72 entries at every level in every format — index sizes
-// and node-access counts are layout-independent, which keeps the paper's
-// Table 2 / Fig 8–10 metrics byte-identical across formats. (v3 deliberately
-// keeps the logical fanout at 72 too: the compression win is taken as
-// smaller resident frames in the buffer pool, which charges each frame its
-// occupied bytes, not as a larger fanout, so tree shapes and access counts
-// stay comparable across formats.)
+// Internal nodes use one raw layout, v1: a 24-byte header (level, entry
+// count, parent page, two unused page links) followed by 56-byte row-major
+// entries (child MBB + child page). Fanout is (4096 − 24) / 56 = 72 entries
+// at every level in every format — index sizes and node-access counts are
+// layout-independent, which keeps the paper's Table 2 / Fig 8–10 metrics
+// byte-identical across leaf formats. (v3 leaves deliberately keep the
+// logical fanout at 72 too: the compression win is taken as smaller resident
+// frames in the buffer pool, which charges each frame its occupied bytes,
+// not as a larger fanout, so tree shapes and access counts stay comparable.)
 //
 // Format discrimination: byte 1 of the page. v1 internal pages store the node
 // level there as the second byte of a little-endian int32 — always 0 for the
 // tiny tree heights involved — while v2/v3 leaf pages store the version
-// value 2 or 3 and v3 internal pages store 4. (The codec assumes a
-// little-endian host.) Row-major v1 *leaf* pages are not supported:
-// ValidateNodePage names them, and Decode aborts on them.
+// value 2 or 3. (The codec assumes a little-endian host.) Two retired
+// layouts are refused by name: row-major v1 *leaf* pages and v3 compressed
+// internal pages (format byte 4). ValidateNodePage names them, and Decode
+// aborts on them.
 
 #ifndef MST_INDEX_NODE_H_
 #define MST_INDEX_NODE_H_
@@ -104,15 +103,6 @@ enum class LeafPageFormat : uint8_t {
   kV2Soa = 2,        ///< column-major entries (the default)
   kV3Compressed = 3, ///< compressed columns (src/index/leaf_codec_v3.h);
                      ///< incompressible leaves degrade to v2 pages
-};
-
-/// Which on-page layout EncodeTo emits for internal nodes. Values equal the
-/// page's version byte.
-enum class InternalPageFormat : uint8_t {
-  kV1Aos = 0,        ///< raw row-major entries (the default)
-  kV3Compressed = 4, ///< compressed MBB/child columns
-                     ///< (src/index/node_codec_v3.h); incompressible nodes
-                     ///< degrade to v1 pages
 };
 
 /// v1 header size / entry size and the per-node fanout every format shares.
@@ -350,12 +340,10 @@ struct IndexNode {
   Mbb3 Bounds() const;
 
   /// Serializes into `page` (asserts Count() <= kCapacity). Leaf nodes are
-  /// written in `leaf_format`, internal nodes in `internal_format`;
-  /// incompressible nodes degrade to the corresponding raw layout.
+  /// written in `leaf_format` (an incompressible v3 leaf degrades to v2),
+  /// internal nodes in the v1 layout.
   void EncodeTo(Page* page,
-                LeafPageFormat leaf_format = LeafPageFormat::kV2Soa,
-                InternalPageFormat internal_format =
-                    InternalPageFormat::kV1Aos) const;
+                LeafPageFormat leaf_format = LeafPageFormat::kV2Soa) const;
 
   /// Parses a node from `page`, dispatching on the page's format version;
   /// `self` is recorded for convenience. Aborts on a page ValidateNodePage
@@ -372,20 +360,14 @@ using NodeRef = std::shared_ptr<const IndexNode>;
 
 /// Structural validation of an untrusted page (index file loads): a known
 /// format byte, an entry count within the node capacity, no row-major v1
-/// leaf, and for v3 pages the full column checks of ValidateV3LeafPage /
-/// ValidateV3InternalPage. Empty string when the page decodes safely, else
-/// the first problem found, naming the page flavor.
+/// leaf, no v3 internal page, and for v3 leaves the full column checks of
+/// ValidateV3LeafPage. Empty string when the page decodes safely, else the
+/// first problem found, naming the page flavor.
 std::string ValidateNodePage(const Page& page);
 
-/// True when `page` holds a v2 columnar leaf (format-version byte check).
-bool IsV2LeafPage(const Page& page);
-
-/// Builds a LeafView that aliases a v2 leaf page's column region in place —
-/// the zero-copy read path. The page layout IS the in-memory layout, so no
-/// block copy or IndexNode materialization happens; the caller must keep
-/// `page` alive (pinned) for the lifetime of the view. Optionally also
-/// reads the leaf-chain link out of the header.
-LeafView ViewOfV2LeafPage(const Page& page, PageId* next_leaf = nullptr);
+/// Tree level stored in a page ValidateNodePage accepted: 0 for a leaf
+/// page, the header level for an internal page.
+int32_t NodePageLevel(const Page& page);
 
 }  // namespace mst
 

@@ -21,8 +21,7 @@ TrajectoryIndex::TrajectoryIndex(const Options& options)
     : file_(),
       buffer_(&file_, options.build_buffer_pages),
       node_cache_(options.node_cache_nodes),
-      leaf_format_(options.leaf_format),
-      internal_format_(options.internal_format) {}
+      leaf_format_(options.leaf_format) {}
 
 TrajectoryIndex::~TrajectoryIndex() = default;
 
@@ -68,36 +67,6 @@ NodeRef TrajectoryIndex::ReadNode(PageId id) const {
   return node;
 }
 
-TrajectoryIndex::LeafPageRead TrajectoryIndex::ReadLeafColumns(
-    PageId id) const {
-  LeafPageRead out;
-  if (node_cache_.enabled()) {
-    // Cached nodes outlive the pin, and the cache must keep observing the
-    // same lookup/insert traffic — delegate, behavior unchanged.
-    out.node = ReadNode(id);
-    out.view = out.node->leaves.View();
-    out.next_leaf = out.node->next_leaf;
-    return out;
-  }
-  // Same accounting as ReadNode: one logical access, one Pin.
-  node_accesses_.fetch_add(1, std::memory_order_relaxed);
-  ++tls_node_accesses;
-  PageGuard guard = buffer_.Pin(id);
-  if (IsV2LeafPage(*guard)) {
-    out.view = ViewOfV2LeafPage(*guard, &out.next_leaf);
-    out.guard = std::move(guard);
-    return out;
-  }
-  // v3 compressed leaf (columns must be expanded into scratch anyway): a
-  // full decode unpacks straight into the node's LeafBlock and costs
-  // nothing extra. (Insert is a no-op here — the cache is disabled —
-  // matching ReadNode.)
-  out.node = std::make_shared<const IndexNode>(IndexNode::Decode(*guard, id));
-  out.view = out.node->leaves.View();
-  out.next_leaf = out.node->next_leaf;
-  return out;
-}
-
 IndexNode TrajectoryIndex::ReadNodeForUpdate(PageId id) {
   const PageGuard guard = buffer_.Pin(id);
   return IndexNode::Decode(*guard, id);
@@ -107,7 +76,7 @@ void TrajectoryIndex::WriteNode(const IndexNode& node) {
   MST_DCHECK(node.self != kInvalidPageId);
   {
     PageGuard guard = buffer_.PinMutable(node.self);
-    node.EncodeTo(guard.mutable_page(), leaf_format_, internal_format_);
+    node.EncodeTo(guard.mutable_page(), leaf_format_);
   }
   // Bump the page version after the bytes change: a concurrent decode of
   // the old bytes observed the old version and will fail to publish.

@@ -52,14 +52,12 @@ class TrajectoryIndex {
   /// model — logical node accesses are counted identically with it on or
   /// off). `leaf_format` selects the on-page leaf layout WriteNode emits (v2
   /// columnar by default, or v3 compressed columnar — either way pages of
-  /// both formats decode transparently). `internal_format` does the same
-  /// for internal nodes (raw v1 by default; v3 compressed columnar keeps
-  /// routing levels small too).
+  /// both formats decode transparently). Internal nodes are always written
+  /// in the raw v1 layout.
   struct Options {
     size_t build_buffer_pages = 4096;
     size_t node_cache_nodes = 4096;
     LeafPageFormat leaf_format = LeafPageFormat::kV2Soa;
-    InternalPageFormat internal_format = InternalPageFormat::kV1Aos;
     /// Incremental-insert policy of the 3D R-tree (see RTreeVariant). Tree
     /// shape only: page formats, bulk loading (always STR), and exact k-MST
     /// results are unaffected by this knob.
@@ -121,24 +119,6 @@ class TrajectoryIndex {
   /// callers needing to modify entries must copy them.
   NodeRef ReadNode(PageId id) const;
 
-  /// One leaf page read for column streaming. Exactly one of `node` /
-  /// `guard` backs `view`; keep the struct alive while the view is used.
-  struct LeafPageRead {
-    NodeRef node;     // decoded path (v3 page, or node cache enabled)
-    PageGuard guard;  // zero-copy path (v2 page, node cache disabled)
-    LeafView view;
-    PageId next_leaf = kInvalidPageId;
-  };
-
-  /// Reads a page the caller knows is a leaf. With the decoded-node cache
-  /// disabled and a v2 columnar page, the returned view aliases the pinned
-  /// buffer frame directly — no block copy, no IndexNode materialization
-  /// (the structural payoff of the SoA layout; v3 pages need their columns
-  /// expanded and fall back to a full decode). Accounting is identical to
-  /// ReadNode on every path: one logical node access, and the same single
-  /// buffer Pin, so node-access and I/O counters are unchanged.
-  LeafPageRead ReadLeafColumns(PageId id) const;
-
   /// Number of nodes (== allocated pages).
   int64_t NodeCount() const { return file_.PageCount(); }
 
@@ -196,9 +176,6 @@ class TrajectoryIndex {
   /// On-page leaf layout this index writes (decoding accepts both).
   LeafPageFormat leaf_format() const { return leaf_format_; }
 
-  /// On-page internal-node layout this index writes (decoding accepts both).
-  InternalPageFormat internal_format() const { return internal_format_; }
-
   /// Structural invariant check (MBB containment, counts, parent links where
   /// maintained). Aborts on violation; O(nodes). For tests.
   void CheckInvariants() const;
@@ -253,7 +230,6 @@ class TrajectoryIndex {
   mutable BufferManager buffer_;
   mutable NodeCache node_cache_;
   LeafPageFormat leaf_format_ = LeafPageFormat::kV2Soa;
-  InternalPageFormat internal_format_ = InternalPageFormat::kV1Aos;
   PageId root_ = kInvalidPageId;
   int height_ = 0;
   int64_t entry_count_ = 0;

@@ -1,13 +1,12 @@
-// Shared column-compression toolkit behind the v3 page codecs (compressed
-// leaf pages in leaf_codec_v3.cc, compressed internal pages in
-// node_codec_v3.cc). Everything here is layout-agnostic: order-preserving
+// Column-compression toolkit behind the v3 compressed leaf codec
+// (leaf_codec_v3.cc). Everything here is layout-agnostic: order-preserving
 // double/int64 ↔ u64 bijections, zig-zag, fixed-width bit packing, and the
 // per-column delta transforms (frame-of-reference, delta-of-delta,
 // fixed-point) plus their structural length validator. The functions are
 // byte-for-byte the ones the v3 leaf codec shipped with — extracting them
 // must not change any encoded page, which the codec determinism tests pin.
 //
-// Internal header: included by the two codec .cc files (and codec tests);
+// Internal header: included by the codec .cc file (and codec tests);
 // not part of the index's public surface.
 
 #ifndef MST_INDEX_V3_COLUMN_CODEC_H_

@@ -5,35 +5,13 @@
 #include <cstring>
 #include <vector>
 
-#include "src/index/leaf_codec_v3.h"
 #include "src/index/node.h"
-#include "src/index/node_codec_v3.h"
 #include "src/util/check.h"
 
 namespace mst {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'S', 'T', 'I', 'D', 'X', '0', '1'};
-
-const char* FormatName(LeafPageFormat format) {
-  switch (format) {
-    case LeafPageFormat::kV2Soa:
-      return "v2 (SoA)";
-    case LeafPageFormat::kV3Compressed:
-      return "v3 (compressed)";
-  }
-  return "unknown";
-}
-
-const char* FormatName(InternalPageFormat format) {
-  switch (format) {
-    case InternalPageFormat::kV1Aos:
-      return "v1 (AoS)";
-    case InternalPageFormat::kV3Compressed:
-      return "v3 (compressed)";
-  }
-  return "unknown";
-}
 
 struct FileCloser {
   void operator()(FILE* f) const {
@@ -86,6 +64,53 @@ void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
 }
 
+// Walks the tree from the root over pages that already passed
+// ValidateNodePage, so a query can neither pin a page outside the file nor
+// loop: every child id must lie in [0, page_count) and every child must sit
+// exactly one level below its parent (levels strictly decrease, which also
+// rules out cycles). Each page is expanded once. Empty string when sound,
+// else the first problem found.
+std::string ValidateTreeShape(const Header& header,
+                              const std::vector<Page>& pages) {
+  if (header.page_count == 0) return "";
+  const int32_t root_level = NodePageLevel(pages[header.root]);
+  if (root_level != header.height - 1) {
+    return "root page " + std::to_string(header.root) + " has level " +
+           std::to_string(root_level) + ", expected height - 1 = " +
+           std::to_string(header.height - 1);
+  }
+  std::vector<bool> expanded(pages.size(), false);
+  std::vector<PageId> pending = {header.root};
+  expanded[header.root] = true;
+  while (!pending.empty()) {
+    const PageId id = pending.back();
+    pending.pop_back();
+    const int32_t level = NodePageLevel(pages[id]);
+    if (level == 0) continue;
+    const IndexNode node = IndexNode::Decode(pages[id], id);
+    for (const InternalEntry& e : node.internals) {
+      const auto edge = [&] {
+        return "page " + std::to_string(id) + ": child page " +
+               std::to_string(e.child);
+      };
+      if (e.child < 0 || e.child >= header.page_count) {
+        return edge() + " outside [0, " + std::to_string(header.page_count) +
+               ")";
+      }
+      const int32_t child_level = NodePageLevel(pages[e.child]);
+      if (child_level != level - 1) {
+        return edge() + " has level " + std::to_string(child_level) +
+               ", expected " + std::to_string(level - 1);
+      }
+      if (!expanded[e.child]) {
+        expanded[e.child] = true;
+        pending.push_back(e.child);
+      }
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 bool SaveIndex(const TrajectoryIndex& index, const std::string& path) {
@@ -123,13 +148,13 @@ bool SaveIndex(const TrajectoryIndex& index, const std::string& path) {
 
 std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
                                            std::string* error) {
-  return LoadIndex(path, IndexOpenOptions(), error);
+  return LoadIndex(path, TrajectoryIndex::Options(), error);
 }
 
-std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
-                                           const IndexOpenOptions& options,
-                                           std::string* error) {
-  if (options.index.build_buffer_pages == 0) {
+std::unique_ptr<TrajectoryIndex> LoadIndex(
+    const std::string& path, const TrajectoryIndex::Options& options,
+    std::string* error) {
+  if (options.build_buffer_pages == 0) {
     SetError(error, path +
                         ": invalid open options: build_buffer_pages must be "
                         "at least 1");
@@ -153,7 +178,9 @@ std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
   }
   if (header.page_count < 0 || header.height < 0 ||
       (header.page_count > 0 &&
-       (header.root < 0 || header.root >= header.page_count))) {
+       (header.root < 0 || header.root >= header.page_count)) ||
+      (header.page_count == 0 &&
+       (header.root != kInvalidPageId || header.height != 0))) {
     SetError(error, path + ": corrupt header");
     return nullptr;
   }
@@ -175,9 +202,10 @@ std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
     SetError(error, path + ": trailing bytes after page payload");
     return nullptr;
   }
-  // Every page is validated up front instead of trusted: a bad format byte
-  // or entry count would otherwise abort the first query that decodes the
-  // page, or send the zero-copy leaf path reading past the page.
+  // Every page, and then the tree over them, is validated up front instead
+  // of trusted: a bad format byte or entry count would otherwise abort the
+  // first query that decodes the page, and a bad child id would abort (out
+  // of range) or hang (a cycle) the first traversal.
   for (size_t i = 0; i < pages.size(); ++i) {
     const std::string problem = ValidateNodePage(pages[i]);
     if (!problem.empty()) {
@@ -185,60 +213,14 @@ std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
       return nullptr;
     }
   }
-  if (options.read_write) {
-    // Read-write can never be honored (insertion state is not persisted);
-    // diagnose the most actionable mismatch first. A write format differing
-    // from what the file's leaves actually store would corrupt the
-    // page-format invariants long before the missing chains mattered, so
-    // that case gets its own message. A v3 file legitimately contains v2
-    // fallback pages for incompressible leaves, so any v3 leaf marks the
-    // whole file v3.
-    bool file_has_v3_leaf = false;
-    bool file_has_v3_internal = false;
-    for (const Page& page : pages) {
-      if (IsV3LeafPage(page)) file_has_v3_leaf = true;
-      else if (IsV3InternalPage(page)) file_has_v3_internal = true;
-    }
-    const LeafPageFormat file_format = file_has_v3_leaf
-                                           ? LeafPageFormat::kV3Compressed
-                                           : LeafPageFormat::kV2Soa;
-    if (header.page_count > 0 && options.index.leaf_format != file_format) {
-      SetError(error, path + ": cannot open read-write: requested " +
-                          FormatName(options.index.leaf_format) +
-                          " leaf writes, but the file stores " +
-                          FormatName(file_format) +
-                          " leaf pages; open read-only or rebuild the index "
-                          "in the requested format");
-      return nullptr;
-    }
-    // Same story for internal pages (v3 internal files legitimately contain
-    // v1 fallback pages for incompressible nodes, so any v3 internal page
-    // marks the file v3-internal).
-    const InternalPageFormat file_internal_format =
-        file_has_v3_internal ? InternalPageFormat::kV3Compressed
-                             : InternalPageFormat::kV1Aos;
-    if (header.page_count > 0 &&
-        options.index.internal_format != file_internal_format) {
-      SetError(error,
-               path + ": cannot open read-write: requested " +
-                   FormatName(options.index.internal_format) +
-                   " internal-node writes, but the file stores " +
-                   FormatName(file_internal_format) +
-                   " internal pages; open read-only or rebuild the index "
-                   "in the requested format");
-      return nullptr;
-    }
-    SetError(error,
-             path +
-                 ": cannot open read-write: a saved index holds no "
-                 "insertion state (trajectory chains, rightmost paths); "
-                 "open read-only, or rebuild from the trajectory store to "
-                 "mutate");
+  const std::string shape = ValidateTreeShape(header, pages);
+  if (!shape.empty()) {
+    SetError(error, path + ": " + shape);
     return nullptr;
   }
   header.name[sizeof(header.name) - 1] = '\0';
   auto index = std::make_unique<LoadedIndex>(
-      options.index, std::string(header.name) + " (loaded)");
+      options, std::string(header.name) + " (loaded)");
   index->Restore(header, pages);
   return index;
 }

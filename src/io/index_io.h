@@ -18,37 +18,25 @@ namespace mst {
 /// Writes `index` (pages + metadata) to `path`. Returns false on I/O error.
 bool SaveIndex(const TrajectoryIndex& index, const std::string& path);
 
-/// How to open a saved index. Invalid combinations are explicit load
-/// errors, never silent fallbacks: requesting read-write fails (a saved
-/// index holds no insertion state) — with a format-specific message when
-/// the requested leaf format additionally mismatches what the file stores —
-/// and a zero-page buffer fails before any I/O.
-struct IndexOpenOptions {
-  /// Buffer/cache/leaf-format configuration of the loaded index. The leaf
-  /// format only matters for writes, which a loaded index rejects; it is
-  /// still validated under `read_write` so the error surfaces at open time
-  /// rather than on the first insert.
-  TrajectoryIndex::Options index;
-  /// Request a mutable index. Always an error today (see above) — the flag
-  /// exists so callers state intent and get a diagnosis instead of an
-  /// abort later.
-  bool read_write = false;
-};
-
 /// Loads an index previously written by SaveIndex. The returned index
 /// answers all read-side queries; calling Insert on it aborts. Returns
-/// nullptr and fills `*error` on failure, including when any page fails
+/// nullptr and fills `*error` on failure: when any page fails
 /// ValidateNodePage (unknown format byte, entry count beyond the node
-/// capacity, a row-major v1 leaf, a corrupt v3 page).
+/// capacity, a row-major v1 leaf, a v3 internal page, a corrupt v3 leaf),
+/// or when the tree reachable from the root is malformed (a child page id
+/// outside the file, a child whose level is not its parent's level − 1, a
+/// root whose level is not height − 1).
 std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
                                            std::string* error);
 
-/// LoadIndex honoring explicit open options (validated — see
-/// IndexOpenOptions). The two-argument overload is equivalent to passing
-/// default options.
-std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
-                                           const IndexOpenOptions& options,
-                                           std::string* error);
+/// LoadIndex with explicit buffer/cache/leaf-format configuration of the
+/// loaded index (the leaf format only matters for writes, which a loaded
+/// index rejects). A zero-page build buffer is an error, reported before
+/// any I/O. The two-argument overload is equivalent to passing default
+/// options.
+std::unique_ptr<TrajectoryIndex> LoadIndex(
+    const std::string& path, const TrajectoryIndex::Options& options,
+    std::string* error);
 
 }  // namespace mst
 

@@ -53,7 +53,7 @@ std::vector<MstResult> ScatterGatherSearch::Search(
       // Full reach only: a shard's exact kth-best over k eligible
       // trajectories upper-bounds the global kth-best. Fewer than k
       // results bound nothing (see KthBoundBoard).
-      board.PublishCounted(results.back().dissim);
+      board.Publish(results.back().dissim);
     }
     shard_results.push_back(std::move(results));
   }

@@ -68,9 +68,6 @@ ShardFrontEnd::ShardFrontEnd(std::vector<IndexViewProvider> shard_views,
     exec_opt.num_workers = 1;  // single-threaded shard stack
     exec_opt.queue_capacity = options.per_shard_queue_capacity;
     exec_opt.result_cache_entries = options.result_cache_entries;
-    // Batch-level bound sharing is the executor's RunBatch feature; the
-    // front-end only uses Submit, and cross-shard sharing replaces it here.
-    exec_opt.share_batch_bounds = false;
     executors_.push_back(
         std::make_unique<QueryExecutor>(std::move(provider), exec_opt));
   }

@@ -4,9 +4,9 @@
 // scan oracles — exact-period k-MST through the concurrent executor vs
 // LinearScanKMst, and time-relaxed k-MST vs TimeRelaxedKMst (whose index
 // traversal runs above the node cache but never touches the result cache).
-// Every page-format combination — {v1, v3} internal × {v2, v3} leaf pages,
-// node cache off/on — must do the same for exact k-MST on every backend,
-// with node-access counts independent of the format.
+// Both leaf-page formats (v2, v3), node cache off/on, must do the same for
+// exact k-MST on every backend, with node-access counts independent of the
+// format.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "src/core/time_relaxed.h"
 #include "src/exec/query_executor.h"
 #include "src/gen/gstd.h"
-#include "src/index/node_codec_v3.h"
 #include "src/index/rtree3d.h"
 #include "src/index/strtree.h"
 #include "src/index/tbtree.h"
@@ -190,11 +189,10 @@ TEST(CachingStackCrossCheckTest, TimeRelaxedNodeAccessesAreCacheInvariant) {
   }
 }
 
-// The fully compressed stack — v3 leaves and v3 internal pages behind a
-// paper-sized buffer and a small node cache — must stay byte-identical to
-// the plain default stack, on a freshly built tree and on a mixed-format
-// file reloaded from disk (v3 pages alongside the raw v1/v2 fallbacks a real
-// file contains).
+// The compressed stack — v3 leaves behind a paper-sized buffer and a small
+// node cache — must stay byte-identical to the plain default stack, on a
+// freshly built tree and on a mixed-format file reloaded from disk (v3
+// leaves alongside raw v1 internal pages and any v2 fallback leaves).
 TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
   GstdOptions opt;
   opt.num_objects = 40;
@@ -207,7 +205,6 @@ TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
 
   TrajectoryIndex::Options compressed_opt;
   compressed_opt.leaf_format = LeafPageFormat::kV3Compressed;
-  compressed_opt.internal_format = InternalPageFormat::kV3Compressed;
   // Small cache so it actually evicts during the run.
   compressed_opt.node_cache_nodes = 64;
   TBTree compressed(compressed_opt);
@@ -217,10 +214,8 @@ TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
   const std::string path =
       ::testing::TempDir() + "/compressed_stack_mixed.mst";
   ASSERT_TRUE(SaveIndex(compressed, path));
-  IndexOpenOptions open_opt;
-  open_opt.index = compressed_opt;
   std::string error;
-  const auto loaded = LoadIndex(path, open_opt, &error);
+  const auto loaded = LoadIndex(path, compressed_opt, &error);
   ASSERT_NE(loaded, nullptr) << error;
   loaded->ConfigurePaperBuffer();
 
@@ -259,8 +254,8 @@ TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
   EXPECT_GT(compressed.node_cache().hits(), 0);
 }
 
-// (internal format, leaf format, node cache enabled)
-using FormatConfig = std::tuple<InternalPageFormat, LeafPageFormat, bool>;
+// (leaf format, node cache enabled)
+using FormatConfig = std::tuple<LeafPageFormat, bool>;
 
 class CachingStackFormatTest : public ::testing::TestWithParam<FormatConfig> {
  protected:
@@ -305,11 +300,11 @@ std::unique_ptr<TrajectoryIndex> BuildBackend(
 // Exact k-MST through each backend, behind a paper-sized buffer and (when
 // on) a small node cache so both evict, must equal LinearScan bitwise; the
 // tree shape and node accesses must equal the default-format stack's. Each
-// query runs twice so the repeat reads warm caches.
+// query runs twice so the repeat reads warm caches. With the node cache off
+// every leaf is decoded from its buffer frame on every read.
 TEST_P(CachingStackFormatTest, KMstMatchesLinearScanOnEveryBackend) {
-  const auto [internal_format, leaf_format, node_cache_on] = GetParam();
+  const auto [leaf_format, node_cache_on] = GetParam();
   TrajectoryIndex::Options opt;
-  opt.internal_format = internal_format;
   opt.leaf_format = leaf_format;
   opt.node_cache_nodes = node_cache_on ? 32 : 0;
   TrajectoryIndex::Options baseline_opt;
@@ -350,32 +345,20 @@ TEST_P(CachingStackFormatTest, KMstMatchesLinearScanOnEveryBackend) {
             << index->name();
       }
     }
-    if (internal_format == InternalPageFormat::kV3Compressed) {
-      // The v3 internal knob actually produced v3 internal pages.
-      index->buffer().Flush();
-      bool any_v3_internal = false;
-      for (PageId id = 0; id < index->NodeCount(); ++id) {
-        any_v3_internal |= IsV3InternalPage(*index->buffer().Pin(id));
-      }
-      EXPECT_TRUE(any_v3_internal) << index->name();
-    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PageFormatMatrix, CachingStackFormatTest,
-    ::testing::Combine(::testing::Values(InternalPageFormat::kV1Aos,
-                                         InternalPageFormat::kV3Compressed),
-                       ::testing::Values(LeafPageFormat::kV2Soa,
+    ::testing::Combine(::testing::Values(LeafPageFormat::kV2Soa,
                                          LeafPageFormat::kV3Compressed),
                        ::testing::Bool()),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) == InternalPageFormat::kV1Aos
-                             ? "V1Internal"
-                             : "V3Internal") +
-             (std::get<1>(info.param) == LeafPageFormat::kV2Soa ? "_V2Leaf"
+      // Internal pages are always v1.
+      return std::string("V1Internal") +
+             (std::get<0>(info.param) == LeafPageFormat::kV2Soa ? "_V2Leaf"
                                                                 : "_V3Leaf") +
-             (std::get<2>(info.param) ? "_NodeCacheOn" : "_NodeCacheOff");
+             (std::get<1>(info.param) ? "_NodeCacheOn" : "_NodeCacheOff");
     });
 
 INSTANTIATE_TEST_SUITE_P(

@@ -162,67 +162,6 @@ TEST_P(ExecutorTest, RepeatedBatchesAreStable) {
   }
 }
 
-TEST_P(ExecutorTest, DuplicateQueriesShareBoundsWithoutChangingResults) {
-  // A workload with repeats: four distinct queries, each submitted three
-  // times. One worker makes the schedule deterministic — every repeat runs
-  // after its first occurrence completed, so it must consume both the
-  // batch's seeded kth bound and the executor's result cache. The exact
-  // traversal policy is what arms bound sharing (it is gated off under
-  // approximate policies, whose piece sums are not lower bounds of the
-  // exact values).
-  std::vector<QueryRequest> requests;
-  for (QueryRequest request : MakeRequests(4, 3, 2121)) {
-    request.options.policy = IntegrationPolicy::kExact;
-    for (int copy = 0; copy < 3; ++copy) requests.push_back(request);
-  }
-
-  const BFMstSearch searcher(&index(), store_);  // uncached, unseeded oracle
-  std::vector<std::vector<MstResult>> serial_results;
-  std::vector<MstStats> serial_stats;
-  for (const QueryRequest& request : requests) {
-    MstStats stats;
-    serial_results.push_back(
-        searcher.Search(request.query, request.period, request.options,
-                        &stats));
-    serial_stats.push_back(stats);
-  }
-
-  QueryExecutor::Options opt;
-  opt.num_workers = 1;
-  QueryExecutor executor(&index(), store_, opt);
-  const std::vector<QueryOutcome> outcomes = executor.RunBatch(requests);
-  ASSERT_EQ(outcomes.size(), requests.size());
-
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const QueryOutcome& out = outcomes[i];
-    // Results are byte-identical to the uncached, unseeded serial loop —
-    // sharing only ever changes the work, not the answer.
-    ASSERT_EQ(out.results.size(), serial_results[i].size()) << "query " << i;
-    for (size_t r = 0; r < out.results.size(); ++r) {
-      EXPECT_EQ(out.results[r].id, serial_results[i][r].id);
-      EXPECT_EQ(out.results[r].dissim, serial_results[i][r].dissim);
-      EXPECT_EQ(out.results[r].error_bound,
-                serial_results[i][r].error_bound);
-    }
-    const bool is_repeat = i % 3 != 0;
-    if (!is_repeat) {
-      // First occurrence: no sibling has published, traversal matches the
-      // serial loop exactly.
-      EXPECT_EQ(out.stats.nodes_accessed, serial_stats[i].nodes_accessed);
-      EXPECT_EQ(out.stats.result_cache_hits, 0) << "query " << i;
-    } else {
-      // Repeats run with a sound seeded bound: never more traversal work,
-      // and refinements already published by the first occurrence are served
-      // from the result cache. (A seeded repeat may terminate earlier and
-      // refine a partial survivor its sibling never did, so misses stay
-      // possible — only hits are guaranteed.)
-      EXPECT_LE(out.stats.nodes_accessed, serial_stats[i].nodes_accessed);
-      EXPECT_GT(out.stats.result_cache_hits, 0) << "query " << i;
-    }
-  }
-  EXPECT_GT(executor.result_cache().hits(), 0);
-}
-
 TEST_P(ExecutorTest, SharingAndCachingOffReproducesSerialStatsExactly) {
   std::vector<QueryRequest> requests;
   for (const QueryRequest& request : MakeRequests(3, 3, 2323)) {
@@ -233,7 +172,6 @@ TEST_P(ExecutorTest, SharingAndCachingOffReproducesSerialStatsExactly) {
   QueryExecutor::Options opt;
   opt.num_workers = 2;
   opt.result_cache_entries = 0;
-  opt.share_batch_bounds = false;
   QueryExecutor executor(&index(), store_, opt);
   ASSERT_FALSE(executor.result_cache().enabled());
 
@@ -343,72 +281,6 @@ TEST_P(ExecutorTest, TrajectoryBatchConvenienceOverload) {
     // Each stored trajectory's most similar match is itself, at dissim 0.
     EXPECT_EQ(outcomes[i].results[0].id, queries[i].id());
     EXPECT_NEAR(outcomes[i].results[0].dissim, 0.0, 1e-9);
-  }
-}
-
-TEST_P(ExecutorTest, MixedPolicyDuplicatesNeverShareBounds) {
-  // One batch that duplicates each query geometry under BOTH the exact and
-  // the trapezoid policy (all with exact post-processing, so final values
-  // agree to the eye — exactly the mix where a fingerprint-keyed bound
-  // board could leak a bound across policies). Sharing must be a no-op
-  // across the policy boundary: a trapezoid traversal's piece-sum bounds
-  // are not lower bounds of exact values, so an exact-valued seed could
-  // silently drop a true top-k candidate. The board keys on the policy
-  // (and the postprocess flag) in addition to the gate, making the leak
-  // structurally impossible; this test locks both results and traversal
-  // stats bitwise against a sharing-off executor.
-  std::vector<QueryRequest> requests;
-  for (QueryRequest request : MakeRequests(4, 3, 3434)) {
-    request.options.policy = IntegrationPolicy::kExact;
-    requests.push_back(request);
-    request.options.policy = IntegrationPolicy::kTrapezoid;
-    requests.push_back(request);
-    // Repeat the pair so both policies also have a same-policy sibling —
-    // exact/exact sharing stays live while exact/trapezoid must not.
-    request.options.policy = IntegrationPolicy::kExact;
-    requests.push_back(request);
-    request.options.policy = IntegrationPolicy::kTrapezoid;
-    requests.push_back(request);
-  }
-
-  QueryExecutor::Options off_opt;
-  off_opt.num_workers = 1;
-  off_opt.share_batch_bounds = false;
-  off_opt.result_cache_entries = 0;
-  QueryExecutor off_executor(&index(), store_, off_opt);
-  const std::vector<QueryOutcome> expected = off_executor.RunBatch(requests);
-
-  QueryExecutor::Options on_opt;
-  on_opt.num_workers = 1;  // deterministic schedule: repeats see the board
-  on_opt.share_batch_bounds = true;
-  on_opt.result_cache_entries = 0;  // isolate the bound board's effect
-  QueryExecutor on_executor(&index(), store_, on_opt);
-  const std::vector<QueryOutcome> outcomes = on_executor.RunBatch(requests);
-
-  ASSERT_EQ(outcomes.size(), expected.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_EQ(outcomes[i].results.size(), expected[i].results.size())
-        << "query " << i;
-    for (size_t r = 0; r < expected[i].results.size(); ++r) {
-      EXPECT_EQ(outcomes[i].results[r].id, expected[i].results[r].id)
-          << "query " << i << " rank " << r;
-      EXPECT_EQ(outcomes[i].results[r].dissim, expected[i].results[r].dissim);
-      EXPECT_EQ(outcomes[i].results[r].error_bound,
-                expected[i].results[r].error_bound);
-    }
-    const bool trapezoid = (i % 2) == 1;
-    if (trapezoid) {
-      // Trapezoid queries neither publish nor consume: their traversal is
-      // bitwise the sharing-off one even with exact duplicates around.
-      EXPECT_EQ(outcomes[i].stats.nodes_accessed,
-                expected[i].stats.nodes_accessed)
-          << "trapezoid query " << i << " was seeded across the policy gate";
-    } else {
-      // Exact repeats may be seeded by their exact sibling — never more
-      // work than unshared.
-      EXPECT_LE(outcomes[i].stats.nodes_accessed,
-                expected[i].stats.nodes_accessed);
-    }
   }
 }
 

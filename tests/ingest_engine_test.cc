@@ -19,7 +19,6 @@
 #include "src/exec/query_executor.h"
 #include "src/index/leaf_codec_v3.h"
 #include "src/index/node.h"
-#include "src/index/node_codec_v3.h"
 #include "src/index/rtree3d.h"
 #include "src/ingest/delta_index.h"
 #include "src/ingest/ingest_engine.h"
@@ -185,13 +184,12 @@ TEST(IngestEngineTest, SearchMatchesBulkLoadOracleAcrossPolicies) {
 }
 
 // Regression: the merge path (and the delta trees it drains) must emit the
-// page formats configured in Options::index — both the leaf format and the
-// internal-node format — not a hardcoded default.
+// leaf format configured in Options::index, not a hardcoded default, next to
+// raw v1 internal pages.
 TEST(IngestEngineTest, MergeEmitsConfiguredLeafAndInternalFormats) {
   MemWalStorageSet storage;
   IngestEngine::Options options;
   options.index.leaf_format = LeafPageFormat::kV3Compressed;
-  options.index.internal_format = InternalPageFormat::kV3Compressed;
   IngestEngine engine(&storage, options);
   RecordFeed feed(47, /*num_ids=*/20);
   // Enough segments for a multi-level main tree after the merge.
@@ -203,15 +201,14 @@ TEST(IngestEngineTest, MergeEmitsConfiguredLeafAndInternalFormats) {
   ASSERT_GT(view.main->height(), 1) << "need at least one internal node";
   view.main->buffer().Flush();
   int v3_leaves = 0;
-  int v3_internals = 0;
+  int v1_internals = 0;
   for (PageId id = 0; id < view.main->NodeCount(); ++id) {
     const PageGuard page = view.main->buffer().Pin(id);
     if (IsV3LeafPage(*page)) ++v3_leaves;
-    else if (IsV3InternalPage(*page)) ++v3_internals;
+    else if (NodePageLevel(*page) > 0 && page->bytes[1] == 0) ++v1_internals;
   }
   EXPECT_GT(v3_leaves, 0) << "merge ignored the configured leaf format";
-  EXPECT_GT(v3_internals, 0)
-      << "merge ignored the configured internal format";
+  EXPECT_GT(v1_internals, 0) << "expected raw v1 internal pages";
 
   // And the compressed output still answers queries bitwise-identically.
   ExpectMatchesOracle(engine, options.index);

@@ -9,8 +9,6 @@
 #include "src/core/mst_search.h"
 #include "src/gen/gstd.h"
 #include "src/index/leaf_codec_v3.h"
-#include "src/index/node_codec_v3.h"
-#include "src/index/rtree3d.h"
 #include "src/index/tbtree.h"
 #include "src/io/csv.h"
 #include "src/io/index_io.h"
@@ -198,75 +196,18 @@ void PatchFile(const std::string& path, long offset, const void* bytes,
 // Byte offsets into the saved file: 8 bytes of magic, then the header
 // (page_count i64, root i32, height i32, entry_count i64, max_speed f64,
 // name[32]).
+constexpr long kRootOffset = 8 + 8;
+constexpr long kHeightOffset = 8 + 12;
 constexpr long kEntryCountOffset = 8 + 16;
 constexpr long kMaxSpeedOffset = 8 + 24;
 
 TEST(IndexIoTest, OpenRejectsZeroBufferPagesBeforeAnyIo) {
-  IndexOpenOptions options;
-  options.index.build_buffer_pages = 0;
+  TrajectoryIndex::Options options;
+  options.build_buffer_pages = 0;
   std::string error;
   // The path does not even exist — invalid options fail first, explicitly.
   EXPECT_EQ(LoadIndex("/nonexistent/opts.mst", options, &error), nullptr);
   EXPECT_NE(error.find("build_buffer_pages"), std::string::npos);
-}
-
-TEST(IndexIoTest, OpenRejectsReadWriteExplicitly) {
-  const TrajectoryStore store = SampleStore();
-  RTree3D tree;  // default options: v2 (SoA) leaves
-  tree.BulkLoad(store);
-  const std::string path = TempPath("rw.mst");
-  ASSERT_TRUE(SaveIndex(tree, path));
-
-  IndexOpenOptions options;
-  options.read_write = true;  // leaf format matches the file — generic error
-  std::string error;
-  EXPECT_EQ(LoadIndex(path, options, &error), nullptr);
-  EXPECT_NE(error.find("cannot open read-write"), std::string::npos);
-  EXPECT_NE(error.find("insertion state"), std::string::npos);
-  // The same file opens fine read-only with the same index options.
-  options.read_write = false;
-  EXPECT_NE(LoadIndex(path, options, &error), nullptr) << error;
-}
-
-TEST(IndexIoTest, OpenDiagnosesLeafFormatMismatchOnReadWrite) {
-  const TrajectoryStore store = SampleStore();
-
-  // A v3 (compressed) file opened for v2 (SoA) writes — and the mirror
-  // case. The mismatch must be named, not silently fallen back from.
-  RTree3D v3_tree{[] {
-    TrajectoryIndex::Options o;
-    o.leaf_format = LeafPageFormat::kV3Compressed;
-    return o;
-  }()};
-  v3_tree.BulkLoad(store);
-  const std::string v3_path = TempPath("v3_leaves.mst");
-  ASSERT_TRUE(SaveIndex(v3_tree, v3_path));
-
-  IndexOpenOptions want_v2;
-  want_v2.read_write = true;
-  want_v2.index.leaf_format = LeafPageFormat::kV2Soa;
-  std::string error;
-  EXPECT_EQ(LoadIndex(v3_path, want_v2, &error), nullptr);
-  EXPECT_NE(error.find("stores v3 (compressed) leaf pages"), std::string::npos)
-      << error;
-
-  RTree3D v2_tree;  // default: v2 leaves
-  v2_tree.BulkLoad(store);
-  const std::string v2_path = TempPath("v2_leaves.mst");
-  ASSERT_TRUE(SaveIndex(v2_tree, v2_path));
-
-  IndexOpenOptions want_v3;
-  want_v3.read_write = true;
-  want_v3.index.leaf_format = LeafPageFormat::kV3Compressed;
-  EXPECT_EQ(LoadIndex(v2_path, want_v3, &error), nullptr);
-  EXPECT_NE(error.find("stores v2 (SoA) leaf pages"), std::string::npos)
-      << error;
-
-  // Read-only never cares: either file loads under either leaf format.
-  want_v2.read_write = false;
-  want_v3.read_write = false;
-  EXPECT_NE(LoadIndex(v3_path, want_v2, &error), nullptr) << error;
-  EXPECT_NE(LoadIndex(v2_path, want_v3, &error), nullptr) << error;
 }
 
 TEST(IndexIoTest, RejectsTrailingBytesAfterPagePayload) {
@@ -317,8 +258,8 @@ TEST(IndexIoTest, OpenOptionsConfigureTheLoadedIndex) {
   const std::string path = TempPath("opts_honored.mst");
   ASSERT_TRUE(SaveIndex(tree, path));
 
-  IndexOpenOptions options;
-  options.index.node_cache_nodes = 0;  // disable the decoded-node cache
+  TrajectoryIndex::Options options;
+  options.node_cache_nodes = 0;  // disable the decoded-node cache
   std::string error;
   const auto loaded = LoadIndex(path, options, &error);
   ASSERT_NE(loaded, nullptr) << error;
@@ -398,85 +339,8 @@ TEST(IndexIoTest, RejectsCorruptV3LeafPages) {
   EXPECT_NE(error.find("column payload"), std::string::npos) << error;
 }
 
-TEST(IndexIoTest, RejectsCorruptV3InternalPages) {
-  const TrajectoryStore store = SampleStore();
-  TBTree::Options opt;
-  opt.internal_format = InternalPageFormat::kV3Compressed;
-  TBTree tree(opt);
-  tree.BuildFrom(store);
-  const std::string path = TempPath("corrupt_v3_internal.mst");
-
-  ASSERT_TRUE(SaveIndex(tree, path));
-  const long page = FindPageOffset(path, kV3InternalVersion);
-  ASSERT_GT(page, 0) << "expected at least one compressed internal page";
-  std::string error;
-  ASSERT_NE(LoadIndex(path, &error), nullptr) << error;
-
-  // An undefined column encoding tag.
-  uint8_t byte = 200;
-  PatchFile(path, page + static_cast<long>(kV3OffTags), &byte, 1);
-  EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("corrupt v3 internal page"), std::string::npos)
-      << error;
-  EXPECT_NE(error.find("encoding tag"), std::string::npos) << error;
-
-  // The leaf-only link encoding smuggled onto an internal column.
-  ASSERT_TRUE(SaveIndex(tree, path));
-  byte = kColLink;
-  PatchFile(path, page + static_cast<long>(kV3OffTags), &byte, 1);
-  EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("link"), std::string::npos) << error;
-
-  // An entry count beyond node capacity.
-  ASSERT_TRUE(SaveIndex(tree, path));
-  byte = 255;
-  PatchFile(path, page + 3, &byte, 1);
-  EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("entry count"), std::string::npos) << error;
-
-  // A mis-sized column payload (first column's length field inflated).
-  ASSERT_TRUE(SaveIndex(tree, path));
-  FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, page + static_cast<long>(kV3OffLengths), SEEK_SET),
-            0);
-  ASSERT_EQ(std::fread(&byte, 1, 1, f), 1u);
-  std::fclose(f);
-  byte += 1;
-  PatchFile(path, page + static_cast<long>(kV3OffLengths), &byte, 1);
-  EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("column payload"), std::string::npos) << error;
-}
-
-TEST(IndexIoTest, OpenDiagnosesInternalFormatMismatchOnReadWrite) {
-  const TrajectoryStore store = SampleStore();
-
-  RTree3D v3_tree{[] {
-    TrajectoryIndex::Options o;
-    o.internal_format = InternalPageFormat::kV3Compressed;
-    return o;
-  }()};
-  v3_tree.BulkLoad(store);
-  const std::string path = TempPath("v3_internals.mst");
-  ASSERT_TRUE(SaveIndex(v3_tree, path));
-
-  // Leaf format matches (v2 both sides); only the internal format differs —
-  // the error must name internal pages, not leaves.
-  IndexOpenOptions want_v1_internal;
-  want_v1_internal.read_write = true;
-  std::string error;
-  EXPECT_EQ(LoadIndex(path, want_v1_internal, &error), nullptr);
-  EXPECT_NE(error.find("internal pages"), std::string::npos) << error;
-  EXPECT_NE(error.find("stores v3 (compressed)"), std::string::npos) << error;
-
-  // Read-only never cares about either format knob.
-  want_v1_internal.read_write = false;
-  EXPECT_NE(LoadIndex(path, want_v1_internal, &error), nullptr) << error;
-}
-
 // Raw pages carry an entry count the decoders trust. An out-of-range count
-// must fail the load by name — not abort the first query, and not send the
-// zero-copy leaf path (node cache off) reading past the page.
+// must fail the load by name, not abort the first query.
 TEST(IndexIoTest, RejectsOversizedEntryCounts) {
   const TrajectoryStore store = SampleStore();
   TBTree tree;  // default: v2 leaves, v1 internal pages
@@ -489,8 +353,8 @@ TEST(IndexIoTest, RejectsOversizedEntryCounts) {
   ASSERT_GT(leaf, 0);
   ASSERT_GT(internal, 0) << "expected a v1 internal page";
 
-  IndexOpenOptions uncached;
-  uncached.index.node_cache_nodes = 0;
+  TrajectoryIndex::Options uncached;
+  uncached.node_cache_nodes = 0;
   const uint8_t count = 200;  // v2 leaves store the count in byte 3
   PatchFile(path, leaf + 3, &count, 1);
   std::string error;
@@ -545,6 +409,100 @@ TEST(IndexIoTest, RejectsV1LeafPages) {
   EXPECT_EQ(LoadIndex(path, &error), nullptr);
   EXPECT_NE(error.find("v1 (row-major) leaf page"), std::string::npos)
       << error;
+}
+
+// The retired v3 compressed internal layout (format byte 4) is refused by
+// name, so an old file asks for a rebuild instead of failing obscurely.
+TEST(IndexIoTest, RejectsV3InternalPages) {
+  const TrajectoryStore store = SampleStore();
+  TBTree tree;
+  tree.BuildFrom(store);
+  const std::string path = TempPath("v3_internal.mst");
+  ASSERT_TRUE(SaveIndex(tree, path));
+  const long internal = FindPageOffset(path, 0);
+  ASSERT_GT(internal, 0) << "expected a v1 internal page";
+
+  const uint8_t version = 4;
+  PatchFile(path, internal + 1, &version, 1);
+  std::string error;
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("v3 internal pages are no longer supported; rebuild "
+                       "the index"),
+            std::string::npos)
+      << error;
+}
+
+// File offset of the child page id of entry 0 in internal page `id`: pages
+// follow the 8-byte magic and the 64-byte header; v1 entries (child MBB,
+// then the child id) follow the 24-byte node header.
+long FirstChildIdOffset(PageId id) {
+  return 8 + 64 + static_cast<long>(id) * static_cast<long>(kPageSize) +
+         static_cast<long>(kNodeHeaderV1Size + sizeof(Mbb3));
+}
+
+// A child id outside the page file, or a root in a file with no pages, used
+// to load fine and then abort the first query on its buffer pin.
+TEST(IndexIoTest, RejectsOutOfRangePageIds) {
+  const TrajectoryStore store = SampleStore();
+  TBTree tree;
+  tree.BuildFrom(store);
+  ASSERT_GE(tree.height(), 2);
+  const std::string path = TempPath("child_out_of_range.mst");
+  ASSERT_TRUE(SaveIndex(tree, path));
+  std::string error;
+  ASSERT_NE(LoadIndex(path, &error), nullptr) << error;
+
+  const PageId far = 1 << 20;
+  PatchFile(path, FirstChildIdOffset(tree.root()), &far, sizeof(far));
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("child page 1048576 outside [0, " +
+                       std::to_string(tree.NodeCount()) + ")"),
+            std::string::npos)
+      << error;
+
+  ASSERT_TRUE(SaveIndex(tree, path));
+  const PageId negative = -2;
+  PatchFile(path, FirstChildIdOffset(tree.root()), &negative,
+            sizeof(negative));
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("child page -2 outside"), std::string::npos) << error;
+
+  const TBTree empty;
+  ASSERT_TRUE(SaveIndex(empty, path));
+  ASSERT_NE(LoadIndex(path, &error), nullptr) << error;
+  const PageId root = 0;
+  PatchFile(path, kRootOffset, &root, sizeof(root));
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("corrupt header"), std::string::npos) << error;
+}
+
+// A child one level off — here the root naming itself, a cycle — used to
+// load fine and then send the first query into an endless traversal. A
+// header height that disagrees with the root's level is refused too.
+TEST(IndexIoTest, RejectsChildLevelMismatch) {
+  const TrajectoryStore store = SampleStore();
+  TBTree tree;
+  tree.BuildFrom(store);
+  ASSERT_GE(tree.height(), 2);
+  const std::string path = TempPath("child_level.mst");
+  ASSERT_TRUE(SaveIndex(tree, path));
+
+  const PageId root = tree.root();
+  PatchFile(path, FirstChildIdOffset(root), &root, sizeof(root));
+  std::string error;
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("page " + std::to_string(root) + ": child page " +
+                       std::to_string(root) + " has level " +
+                       std::to_string(tree.height() - 1) + ", expected " +
+                       std::to_string(tree.height() - 2)),
+            std::string::npos)
+      << error;
+
+  ASSERT_TRUE(SaveIndex(tree, path));
+  const int32_t height = tree.height() + 1;
+  PatchFile(path, kHeightOffset, &height, sizeof(height));
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("expected height - 1"), std::string::npos) << error;
 }
 
 TEST(IndexIoTest, RejectsTruncatedFile) {

@@ -383,7 +383,6 @@ TEST_P(IngestMetamorphicTest, InterleavedAppendsAndMergesMatchFreshBulkLoad) {
       QueryExecutor::Options exec_options;
       exec_options.num_workers = 2;
       exec_options.result_cache_entries = cache_entries;
-      exec_options.share_batch_bounds = false;  // stats compared bitwise
       QueryExecutor executor(engine.ViewProvider(), exec_options);
       runs.push_back(executor.RunBatch(requests));
       const auto& outcomes = runs.back();

@@ -17,7 +17,6 @@
 #include "src/gen/gstd.h"
 #include "src/index/leaf_codec_v3.h"
 #include "src/index/node.h"
-#include "src/index/node_codec_v3.h"
 #include "src/index/pagefile.h"
 #include "src/index/tbtree.h"
 #include "src/io/index_io.h"
@@ -166,6 +165,12 @@ TEST(NodeCodecRandomTest, VersionByteDiscriminates) {
   v1_leaf.WriteAt<int32_t>(0, 0);
   EXPECT_NE(ValidateNodePage(v1_leaf).find("v1 (row-major) leaf"),
             std::string::npos);
+  // Format byte 4 was the retired v3 compressed internal layout.
+  Page v3_internal = pi;
+  v3_internal.bytes[1] = 4;
+  EXPECT_NE(ValidateNodePage(v3_internal)
+                .find("v3 internal pages are no longer supported"),
+            std::string::npos);
 }
 
 TEST(NodeCodecRandomTest, V2ColumnsAtFixedOffsets) {
@@ -190,43 +195,6 @@ TEST(NodeCodecRandomTest, V2ColumnsAtFixedOffsets) {
     EXPECT_EQ(id, e.traj_id);
   }
   EXPECT_EQ(page.bytes[3], 17);  // count byte
-}
-
-TEST(NodeCodecRandomTest, ZeroCopyViewMatchesDecodedView) {
-  // The in-place page view (ViewOfV2LeafPage) must agree field-for-field
-  // with the view of a fully decoded node — they are interchangeable read
-  // paths over the same bytes.
-  Rng rng(31);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int count =
-        static_cast<int>(rng.UniformInt(0, IndexNode::kCapacity));
-    const IndexNode node = RandomLeafNode(&rng, count, rng.Bernoulli(0.5));
-    Page page;
-    node.EncodeTo(&page, LeafPageFormat::kV2Soa);
-    ASSERT_TRUE(IsV2LeafPage(page));
-    PageId next = kInvalidPageId;
-    const LeafView raw = ViewOfV2LeafPage(page, &next);
-    EXPECT_EQ(next, node.next_leaf);
-    const IndexNode decoded = IndexNode::Decode(page, node.self);
-    const LeafView ref = decoded.leaves.View();
-    ASSERT_EQ(raw.count, ref.count);
-    EXPECT_EQ(raw.time_sorted, ref.time_sorted);
-    EXPECT_EQ(raw.bounds.xlo, ref.bounds.xlo);
-    EXPECT_EQ(raw.bounds.thi, ref.bounds.thi);
-    for (int i = 0; i < raw.count; ++i) {
-      EXPECT_EQ(raw.Entry(i), ref.Entry(i)) << "entry " << i;
-    }
-  }
-  // Every other flavor must be rejected by the version probe.
-  Page v3;
-  RandomLeafNode(&rng, 5, true).EncodeTo(&v3, LeafPageFormat::kV3Compressed);
-  EXPECT_FALSE(IsV2LeafPage(v3));
-  IndexNode internal;
-  internal.level = 1;
-  internal.internals.push_back({RandomLeafEntry(&rng).Bounds(), 7, 0});
-  Page v1;
-  internal.EncodeTo(&v1);
-  EXPECT_FALSE(IsV2LeafPage(v1));
 }
 
 TEST(NodeCodecRandomTest, EncodeDeterministicAndIdempotent) {
@@ -446,7 +414,7 @@ TEST(NodeCodecV3Test, IncompressibleFullLeafDegradesToV2Page) {
   Page page;
   node.EncodeTo(&page, LeafPageFormat::kV3Compressed);
   EXPECT_FALSE(IsV3LeafPage(page));
-  ASSERT_TRUE(IsV2LeafPage(page));
+  ASSERT_EQ(page.bytes[1], static_cast<uint8_t>(LeafPageFormat::kV2Soa));
   EXPECT_EQ(LeafPageOccupiedBytes(page), kPageSize);
   ExpectNodesEqual(IndexNode::Decode(page, node.self), node);
 }
@@ -501,348 +469,6 @@ TEST(NodeCodecV3Test, ValidateAcceptsSoundAndNamesCorruption) {
   bad = good;
   bad.bytes[kV3OffLengths] += 1;  // mis-sized but still fits the page
   EXPECT_NE(ValidateV3LeafPage(bad).find("mis-sized"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// v3 compressed internal pages.
-
-void ExpectBitwiseEqualInternals(const IndexNode& got, const IndexNode& want) {
-  ASSERT_EQ(got.Count(), want.Count());
-  for (size_t i = 0; i < want.internals.size(); ++i) {
-    const InternalEntry& g = got.internals[i];
-    const InternalEntry& w = want.internals[i];
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.xlo),
-              std::bit_cast<uint64_t>(w.mbb.xlo));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.ylo),
-              std::bit_cast<uint64_t>(w.mbb.ylo));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.tlo),
-              std::bit_cast<uint64_t>(w.mbb.tlo));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.xhi),
-              std::bit_cast<uint64_t>(w.mbb.xhi));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.yhi),
-              std::bit_cast<uint64_t>(w.mbb.yhi));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.thi),
-              std::bit_cast<uint64_t>(w.mbb.thi));
-    EXPECT_EQ(g.child, w.child) << "entry " << i;
-    EXPECT_EQ(g.pad, 0) << "entry " << i;
-  }
-}
-
-IndexNode RandomInternalNode(Rng* rng, int count) {
-  IndexNode node;
-  node.self = static_cast<PageId>(rng->UniformInt(0, 1 << 20));
-  node.level = static_cast<int32_t>(rng->UniformInt(1, 5));
-  node.parent = static_cast<PageId>(rng->UniformInt(-1, 1 << 20));
-  for (int i = 0; i < count; ++i) {
-    InternalEntry e;
-    e.child = static_cast<PageId>(rng->UniformInt(0, 1 << 20));
-    e.mbb = RandomLeafEntry(rng).Bounds();
-    node.internals.push_back(e);
-  }
-  return node;
-}
-
-// A bulk-load-shaped internal node: spatially local sibling MBBs and
-// near-sequential child page ids — the case the format exists for.
-IndexNode ClusteredInternalNode(Rng* rng, int count) {
-  IndexNode node;
-  node.self = 3;
-  node.level = 1;
-  node.parent = 2;
-  const PageId base = static_cast<PageId>(rng->UniformInt(10, 1 << 16));
-  double x = rng->Uniform(100.0, 200.0);
-  double y = rng->Uniform(100.0, 200.0);
-  double t = rng->Uniform(1000.0, 2000.0);
-  for (int i = 0; i < count; ++i) {
-    InternalEntry e;
-    e.child = base + i;
-    e.mbb.xlo = x;
-    e.mbb.ylo = y;
-    e.mbb.tlo = t;
-    e.mbb.xhi = x + rng->Uniform(0.5, 3.0);
-    e.mbb.yhi = y + rng->Uniform(0.5, 3.0);
-    e.mbb.thi = t + rng->Uniform(5.0, 20.0);
-    x += rng->Uniform(-1.0, 1.0);
-    y += rng->Uniform(-1.0, 1.0);
-    t += rng->Uniform(1.0, 10.0);
-    node.internals.push_back(e);
-  }
-  return node;
-}
-
-TEST(NodeCodecV3InternalTest, RandomRoundTripBitwise) {
-  Rng rng(20260808);
-  for (int trial = 0; trial < 100; ++trial) {
-    const int count =
-        static_cast<int>(rng.UniformInt(1, IndexNode::kCapacity));
-    const IndexNode node = RandomInternalNode(&rng, count);
-    Page page;
-    node.EncodeTo(&page, LeafPageFormat::kV2Soa,
-                  InternalPageFormat::kV3Compressed);
-    // A decode must reproduce the node bitwise whether the encoder chose
-    // the compressed layout or fell back to raw v1.
-    const IndexNode decoded = IndexNode::Decode(page, node.self);
-    EXPECT_EQ(decoded.level, node.level);
-    EXPECT_EQ(decoded.parent, node.parent);
-    ExpectBitwiseEqualInternals(decoded, node);
-    if (IsV3InternalPage(page)) {
-      EXPECT_EQ(ValidateV3InternalPage(page), "");
-    }
-  }
-}
-
-TEST(NodeCodecV3InternalTest, ClusteredNodeCompressesWellAndStaysV3) {
-  Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    const IndexNode node = ClusteredInternalNode(&rng, IndexNode::kCapacity);
-    Page page;
-    node.EncodeTo(&page, LeafPageFormat::kV2Soa,
-                  InternalPageFormat::kV3Compressed);
-    ASSERT_TRUE(IsV3InternalPage(page));
-    EXPECT_EQ(page.bytes[1], kV3InternalVersion);
-    // Sequential children collapse under delta-of-delta (or FoR); spatially
-    // local coordinates beat raw even with full-mantissa noise.
-    const auto tags = V3InternalColumnTags(page);
-    EXPECT_TRUE(tags[6] == kColDod || tags[6] == kColFor) << int{tags[6]};
-    EXPECT_LT(PageOccupiedBytes(page), 3 * kPageSize / 4);
-    ExpectBitwiseEqualInternals(IndexNode::Decode(page, node.self), node);
-  }
-}
-
-TEST(NodeCodecV3InternalTest, GridAlignedMbbsBeatHalfPage) {
-  // Snapped coordinates (map-matched data, synthetic grids) expose the
-  // fixed-point encoding; with all six coordinate columns on a 1/8 grid
-  // the page clears the 2x bar the format exists for.
-  Rng rng(31337);
-  for (int trial = 0; trial < 10; ++trial) {
-    IndexNode node;
-    node.self = 7;
-    node.level = 1;
-    const PageId base = static_cast<PageId>(rng.UniformInt(10, 1 << 16));
-    for (int i = 0; i < IndexNode::kCapacity; ++i) {
-      const auto grid = [&rng](double lo, double hi) {
-        return 0.125 * static_cast<double>(rng.UniformInt(
-                           static_cast<int64_t>(lo * 8),
-                           static_cast<int64_t>(hi * 8)));
-      };
-      InternalEntry e;
-      e.child = base + i;
-      e.mbb.xlo = grid(100.0, 200.0);
-      e.mbb.ylo = grid(100.0, 200.0);
-      e.mbb.tlo = grid(1000.0, 2000.0);
-      e.mbb.xhi = e.mbb.xlo + grid(0.0, 4.0);
-      e.mbb.yhi = e.mbb.ylo + grid(0.0, 4.0);
-      e.mbb.thi = e.mbb.tlo + grid(0.0, 32.0);
-      node.internals.push_back(e);
-    }
-    Page page;
-    node.EncodeTo(&page, LeafPageFormat::kV2Soa,
-                  InternalPageFormat::kV3Compressed);
-    ASSERT_TRUE(IsV3InternalPage(page));
-    EXPECT_LT(PageOccupiedBytes(page), kPageSize / 2);
-    ExpectBitwiseEqualInternals(IndexNode::Decode(page, node.self), node);
-  }
-}
-
-TEST(NodeCodecV3InternalTest, AdversarialMbbsRoundTripBitwise) {
-  // NaNs (routing boxes never hold them, but the codec must not corrupt
-  // rather than assume), infinities (empty Mbb3 default state), denormals,
-  // the two zeros, and magnitude extremes.
-  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
-                             std::numeric_limits<double>::infinity(),
-                             -std::numeric_limits<double>::infinity(),
-                             std::numeric_limits<double>::max(),
-                             -std::numeric_limits<double>::max(),
-                             std::numeric_limits<double>::denorm_min(),
-                             -std::numeric_limits<double>::denorm_min(),
-                             -0.0,
-                             0.0};
-  const int n = static_cast<int>(std::size(specials));
-  IndexNode node;
-  node.self = 11;
-  node.level = 2;
-  for (int i = 0; i < n; ++i) {
-    InternalEntry e;
-    e.child = 100 + i;
-    e.mbb.xlo = specials[i];
-    e.mbb.ylo = specials[(i + 1) % n];
-    e.mbb.tlo = specials[(i + 2) % n];
-    e.mbb.xhi = specials[(i + 3) % n];
-    e.mbb.yhi = specials[(i + 4) % n];
-    e.mbb.thi = specials[(i + 5) % n];
-    node.internals.push_back(e);
-  }
-  Page page;
-  node.EncodeTo(&page, LeafPageFormat::kV2Soa,
-                InternalPageFormat::kV3Compressed);
-  ExpectBitwiseEqualInternals(IndexNode::Decode(page, node.self), node);
-}
-
-TEST(NodeCodecV3InternalTest, SingleEntryNodeRoundTrips) {
-  // A root freshly split down to one child — the n==1 special cases of
-  // every encoding (DoD stores just the first key, FoR a zero width).
-  IndexNode node;
-  node.self = 0;
-  node.level = 1;
-  node.internals.push_back({Mbb3{0.0, 1.0, 2.0, 3.0, 4.0, 5.0}, 42, 0});
-  Page page;
-  node.EncodeTo(&page, LeafPageFormat::kV2Soa,
-                InternalPageFormat::kV3Compressed);
-  ASSERT_TRUE(IsV3InternalPage(page));
-  ExpectBitwiseEqualInternals(IndexNode::Decode(page, node.self), node);
-}
-
-TEST(NodeCodecV3InternalTest, VersionByteDispatchLeavesUnaffected) {
-  // The internal format knob must not leak into leaf encodes and vice
-  // versa: a leaf under (v3 leaf, v3 internal) options is a v3 *leaf* page,
-  // an internal node under (v3 leaf, v1 internal) stays raw v1.
-  Rng rng(5);
-  const IndexNode leaf = ChainLeafNode(&rng, 40);
-  Page leaf_page;
-  leaf.EncodeTo(&leaf_page, LeafPageFormat::kV3Compressed,
-                InternalPageFormat::kV3Compressed);
-  EXPECT_TRUE(IsV3LeafPage(leaf_page));
-  EXPECT_FALSE(IsV3InternalPage(leaf_page));
-
-  const IndexNode internal = ClusteredInternalNode(&rng, 20);
-  Page v1_page;
-  internal.EncodeTo(&v1_page, LeafPageFormat::kV3Compressed,
-                    InternalPageFormat::kV1Aos);
-  EXPECT_EQ(v1_page.bytes[1], 0);  // raw v1 layout
-  ExpectBitwiseEqualInternals(IndexNode::Decode(v1_page, internal.self),
-                              internal);
-}
-
-TEST(NodeCodecV3InternalTest, EncodeDeterministicAndIdempotent) {
-  Rng rng(4242);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int count =
-        static_cast<int>(rng.UniformInt(1, IndexNode::kCapacity));
-    const IndexNode node = ClusteredInternalNode(&rng, count);
-    Page a;
-    Page b;
-    node.EncodeTo(&a, LeafPageFormat::kV2Soa,
-                  InternalPageFormat::kV3Compressed);
-    node.EncodeTo(&b, LeafPageFormat::kV2Soa,
-                  InternalPageFormat::kV3Compressed);
-    EXPECT_EQ(a.bytes, b.bytes) << "same node must encode identically";
-    const IndexNode decoded = IndexNode::Decode(a, node.self);
-    Page c;
-    decoded.EncodeTo(&c, LeafPageFormat::kV2Soa,
-                     InternalPageFormat::kV3Compressed);
-    EXPECT_EQ(a.bytes, c.bytes);
-  }
-}
-
-TEST(NodeCodecV3InternalTest, ValidateAcceptsSoundAndNamesCorruption) {
-  Rng rng(17);
-  const IndexNode node = ClusteredInternalNode(&rng, 40);
-  Page good;
-  node.EncodeTo(&good, LeafPageFormat::kV2Soa,
-                InternalPageFormat::kV3Compressed);
-  ASSERT_TRUE(IsV3InternalPage(good));
-  EXPECT_EQ(ValidateV3InternalPage(good), "");
-
-  Page v1;
-  node.EncodeTo(&v1);
-  EXPECT_NE(ValidateV3InternalPage(v1).find("not a v3"), std::string::npos);
-
-  Page bad = good;
-  bad.bytes[0] = 0;  // internal pages must sit at level >= 1
-  EXPECT_NE(ValidateV3InternalPage(bad).find("leaf level"),
-            std::string::npos);
-
-  bad = good;
-  bad.bytes[kV3OffTags] = 200;  // no such encoding
-  EXPECT_NE(ValidateV3InternalPage(bad).find("encoding tag"),
-            std::string::npos);
-
-  bad = good;
-  bad.bytes[kV3OffTags] = kColLink;  // link has no meaning between MBBs
-  EXPECT_NE(ValidateV3InternalPage(bad).find("link"), std::string::npos);
-
-  bad = good;
-  bad.bytes[3] = 255;  // count beyond capacity
-  EXPECT_NE(ValidateV3InternalPage(bad).find("entry count"),
-            std::string::npos);
-
-  bad = good;
-  // Column 0's little-endian uint16 length, inflated past the page.
-  bad.bytes[kV3OffLengths] = 0xff;
-  bad.bytes[kV3OffLengths + 1] = 0xff;
-  EXPECT_NE(ValidateV3InternalPage(bad).find("overflow"), std::string::npos);
-
-  bad = good;
-  bad.bytes[kV3OffLengths] += 1;  // mis-sized but still fits the page
-  EXPECT_NE(ValidateV3InternalPage(bad).find("mis-sized"), std::string::npos);
-}
-
-// Full-tree identity: v3 internal pages must not change tree shape, query
-// results, or node-access counts, and a saved v3-internal file must reload
-// (through the io validation) query-identical.
-TEST(NodeCodecV3InternalTest, V3InternalTreeQueryIdentical) {
-  GstdOptions gopt;
-  gopt.num_objects = 40;
-  gopt.samples_per_object = 60;
-  gopt.timestamp_jitter = 0.4;
-  gopt.seed = 424242;
-  const TrajectoryStore store = GenerateGstd(gopt);
-
-  TBTree v2tree;  // default: v2 leaves, v1 internals
-  v2tree.BuildFrom(store);
-  TBTree::Options v3opt;
-  v3opt.leaf_format = LeafPageFormat::kV3Compressed;
-  v3opt.internal_format = InternalPageFormat::kV3Compressed;
-  TBTree v3tree(v3opt);
-  v3tree.BuildFrom(store);
-
-  ASSERT_EQ(v3tree.NodeCount(), v2tree.NodeCount());
-  ASSERT_EQ(v3tree.root(), v2tree.root());
-  ASSERT_EQ(v3tree.height(), v2tree.height());
-  v3tree.CheckInvariants();
-
-  // At least one internal page must actually be v3-compressed.
-  v3tree.buffer().Flush();
-  int v3_internal_pages = 0;
-  for (PageId id = 0; id < v3tree.NodeCount(); ++id) {
-    if (IsV3InternalPage(*v3tree.buffer().Pin(id))) ++v3_internal_pages;
-  }
-  EXPECT_GT(v3_internal_pages, 0);
-
-  const std::string path = ::testing::TempDir() + "/v3_internal_index.bin";
-  ASSERT_TRUE(SaveIndex(v3tree, path));
-  std::string error;
-  const auto loaded = LoadIndex(path, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-  loaded->CheckInvariants();
-
-  const BFMstSearch s_v2(&v2tree, &store);
-  const BFMstSearch s_v3(&v3tree, &store);
-  const BFMstSearch s_loaded(loaded.get(), &store);
-  MstOptions options;
-  options.k = 5;
-  for (size_t qi = 0; qi < store.size(); qi += 7) {
-    const Trajectory& query = store.trajectories()[qi];
-    options.exclude_id = query.id();
-    const TimeInterval period = query.Lifespan();
-    MstStats st_v2;
-    MstStats st_v3;
-    MstStats st_loaded;
-    const auto r_v2 = s_v2.Search(query, period, options, &st_v2);
-    const auto r_v3 = s_v3.Search(query, period, options, &st_v3);
-    const auto r_loaded = s_loaded.Search(query, period, options, &st_loaded);
-    ASSERT_EQ(r_v3.size(), r_v2.size());
-    ASSERT_EQ(r_v3.size(), r_loaded.size());
-    for (size_t i = 0; i < r_v3.size(); ++i) {
-      EXPECT_EQ(r_v3[i].id, r_v2[i].id);
-      EXPECT_EQ(r_v3[i].dissim, r_v2[i].dissim);
-      EXPECT_EQ(r_v3[i].id, r_loaded[i].id);
-      EXPECT_EQ(r_v3[i].dissim, r_loaded[i].dissim);
-    }
-    EXPECT_EQ(st_v3.nodes_accessed, st_v2.nodes_accessed);
-    EXPECT_EQ(st_v3.nodes_accessed, st_loaded.nodes_accessed);
-    EXPECT_EQ(st_v3.leaf_entries_seen, st_v2.leaf_entries_seen);
-  }
 }
 
 // Both leaf formats, built in memory and saved and reloaded (a v3 file may

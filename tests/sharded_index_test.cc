@@ -351,9 +351,9 @@ TEST(ShardBoundBoardTest, AtomicMinSemantics) {
   board.Publish(-1.0);
   board.Publish(std::numeric_limits<double>::infinity());
   EXPECT_EQ(board.Current(), 0.0);
-  EXPECT_EQ(board.publish_count(), 0);  // Publish() is the uncounted path
-  board.PublishCounted(3.0);
-  EXPECT_EQ(board.publish_count(), 1);
+  EXPECT_EQ(board.publish_count(), 7);  // every call counts, ignored or not
+  board.Publish(3.0);
+  EXPECT_EQ(board.publish_count(), 8);
   EXPECT_EQ(board.Current(), 0.0);
 }
 
@@ -391,7 +391,7 @@ TEST(ShardBoundBoardTest, ConcurrentPublishersConvergeToGlobalMin) {
   for (int p = 0; p < kPublishers; ++p) {
     publishers.emplace_back([&board, &values, p] {
       for (const double v : values[static_cast<size_t>(p)]) {
-        board.PublishCounted(v);
+        board.Publish(v);
       }
     });
   }

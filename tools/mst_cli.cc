@@ -93,7 +93,6 @@ int CmdIndex(int argc, char** argv) {
   std::string data;
   std::string kind = "tbtree";
   std::string leaf_format = "v2";
-  std::string internal_format = "v1";
   std::string rtree_variant = "quadratic";
   std::string out;
   FlagParser flags;
@@ -101,9 +100,6 @@ int CmdIndex(int argc, char** argv) {
   flags.AddString("kind", &kind, "rtree | rtree-bulk | tbtree | strtree");
   flags.AddString("leaf_format", &leaf_format,
                   "leaf page layout: v2 (columnar) | v3 (compressed "
-                  "columnar)");
-  flags.AddString("internal_format", &internal_format,
-                  "internal-node page layout: v1 (raw) | v3 (compressed "
                   "columnar)");
   flags.AddString("rtree_variant", &rtree_variant,
                   "--kind=rtree insertion policy: quadratic (Guttman) | "
@@ -125,13 +121,6 @@ int CmdIndex(int argc, char** argv) {
     options.leaf_format = LeafPageFormat::kV3Compressed;
   } else {
     return Fail("unknown --leaf_format (use v2 or v3)");
-  }
-  if (internal_format == "v1") {
-    options.internal_format = InternalPageFormat::kV1Aos;
-  } else if (internal_format == "v3") {
-    options.internal_format = InternalPageFormat::kV3Compressed;
-  } else {
-    return Fail("unknown --internal_format (use v1 or v3)");
   }
   if (rtree_variant == "quadratic") {
     options.rtree_variant = RTreeVariant::kQuadratic;
