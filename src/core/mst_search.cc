@@ -246,14 +246,12 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
     return results;
   }
 
-  // V_max spans both trees: a delta-resident trajectory's speed caps the
-  // same OPTDISSIM bounds as a main-resident one.
-  const double vmax =
-      options.vmax_override >= 0.0
-          ? options.vmax_override
-          : std::max(index_->max_speed(),
-                     delta != nullptr ? delta->max_speed() : 0.0) +
-                query.MaxSpeed();
+  // V_max (Table 1) is the dataset's max speed plus the query's; it spans
+  // both trees: a delta-resident trajectory's speed caps the same OPTDISSIM
+  // bounds as a main-resident one.
+  const double vmax = std::max(index_->max_speed(),
+                               delta != nullptr ? delta->max_speed() : 0.0) +
+                      query.MaxSpeed();
 
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>

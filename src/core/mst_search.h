@@ -84,9 +84,6 @@ struct MstOptions {
   /// post-processing). With false, incomplete winners are completed with
   /// `policy` and results carry their error bounds.
   bool exact_postprocess = true;
-  /// V_max for the speed-dependent bounds. Negative (default) means
-  /// index.max_speed() + query.MaxSpeed(), as defined in Table 1.
-  double vmax_override = -1.0;
   /// Eager completion (this repository's extension; off by default, which
   /// is the paper-faithful behaviour): when the index offers a direct
   /// per-trajectory access path (the TB-tree's leaf chains) and a candidate

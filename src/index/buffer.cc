@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/index/leaf_codec_v3.h"
 #include "src/util/check.h"
 
 namespace mst {
@@ -18,7 +17,6 @@ struct BufferFrame {
   bool dirty = false;
   int pins = 0;        // total outstanding guards
   int write_pins = 0;  // guards from PinMutable (Flush skips these frames)
-  size_t charge = 0;   // bytes this frame costs while resident
 };
 
 struct BufferShard {
@@ -31,8 +29,7 @@ struct BufferShard {
   // lru.end(). Page ids are small dense integers, so this replaces a hash
   // lookup per pin — the hottest buffer operation — with an array index.
   std::vector<std::list<BufferFrame>::iterator> index;
-  size_t budget = 0;   // bytes this shard may keep resident
-  size_t charged = 0;  // sum of resident frames' charges
+  size_t capacity = 0;  // frames this shard may keep resident
 
   std::list<BufferFrame>::iterator* Slot(PageId id, size_t shard_count) {
     const size_t slot = static_cast<size_t>(id) / shard_count;
@@ -101,7 +98,7 @@ BufferManager::BufferManager(PageFile* file, size_t capacity_pages,
   for (size_t i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<BufferShard>());
   }
-  AssignShardBudgets();
+  AssignShardCapacities();
 }
 
 BufferManager::~BufferManager() { Flush(); }
@@ -110,28 +107,21 @@ BufferShard& BufferManager::ShardFor(PageId id) const {
   return *shards_[static_cast<size_t>(id) % shards_.size()];
 }
 
-void BufferManager::AssignShardBudgets() {
+void BufferManager::AssignShardCapacities() {
   const size_t n = shards_.size();
   for (size_t i = 0; i < n; ++i) {
-    shards_[i]->budget =
-        std::max<size_t>(1, capacity_ / n + (i < capacity_ % n)) * kPageSize;
+    shards_[i]->capacity =
+        std::max<size_t>(1, capacity_ / n + (i < capacity_ % n));
   }
-}
-
-size_t BufferManager::ChargeOf(const Page& page) {
-  // Compressed v3 leaves charge their payload, raw v1/v2 pages the full
-  // 4 KB — so a raw index evicts exactly like a page-count LRU of
-  // capacity_ frames.
-  return LeafPageOccupiedBytes(page);
 }
 
 void BufferManager::EvictLocked(BufferShard& shard) {
   // Scan from the LRU end, skipping pinned frames and never touching the
   // MRU frame (the one the caller just inserted or pinned). If everything
-  // else is pinned the shard temporarily exceeds its budget — pins are
+  // else is pinned the shard temporarily exceeds its frame count — pins are
   // short-lived.
   auto it = shard.lru.end();
-  while (shard.charged > shard.budget && it != shard.lru.begin()) {
+  while (shard.lru.size() > shard.capacity && it != shard.lru.begin()) {
     const auto candidate = std::prev(it);
     if (candidate == shard.lru.begin()) break;
     if (candidate->pins > 0) {
@@ -141,7 +131,6 @@ void BufferManager::EvictLocked(BufferShard& shard) {
     if (candidate->dirty) {
       file_->Write(candidate->id, candidate->page);
     }
-    shard.charged -= candidate->charge;
     *shard.Slot(candidate->id, shards_.size()) = shard.lru.end();
     it = shard.lru.erase(candidate);
   }
@@ -167,8 +156,6 @@ PageGuard BufferManager::PinImpl(PageId id, bool writable,
       // spares a racy frame-under-construction state.
       file_->Read(id, &inserted.page);
     }
-    inserted.charge = ChargeOf(inserted.page);
-    shard.charged += inserted.charge;
     *shard.Slot(id, shards_.size()) = shard.lru.begin();
   } else {
     shard.lru.splice(shard.lru.begin(), shard.lru, resident);
@@ -202,13 +189,8 @@ void BufferManager::Unpin(BufferShard* shard, BufferFrame* frame,
   if (writable) {
     MST_DCHECK(frame->write_pins > 0);
     --frame->write_pins;
-    // The page bytes may have been rewritten under this pin (e.g. a leaf
-    // re-encoded with different column sizes) — refresh its charge.
-    const size_t charge = ChargeOf(frame->page);
-    shard->charged += charge - frame->charge;
-    frame->charge = charge;
   }
-  // An over-budget shard (every frame was pinned when it grew) shrinks back
+  // An over-full shard (every frame was pinned when it grew) shrinks back
   // as soon as pins drain.
   if (frame->pins == 0) EvictLocked(*shard);
 }
@@ -225,8 +207,6 @@ PageId BufferManager::AllocatePage() {
   BufferFrame& frame = shard.lru.front();
   frame.id = id;
   frame.dirty = true;
-  frame.charge = ChargeOf(frame.page);
-  shard.charged += frame.charge;
   *shard.Slot(id, shards_.size()) = shard.lru.begin();
   EvictLocked(shard);
   return id;
@@ -253,7 +233,6 @@ void BufferManager::Clear() {
         it->dirty = false;
       }
       if (it->pins == 0) {
-        shard->charged -= it->charge;
         *shard->Slot(it->id, shards_.size()) = shard->lru.end();
         it = shard->lru.erase(it);
       } else {
@@ -266,7 +245,7 @@ void BufferManager::Clear() {
 void BufferManager::SetCapacity(size_t capacity_pages) {
   MST_CHECK(capacity_pages >= 1);
   capacity_ = capacity_pages;
-  AssignShardBudgets();
+  AssignShardCapacities();
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     EvictLocked(*shard);

@@ -1,12 +1,7 @@
 // Write-back LRU buffer manager in front of a PageFile. The experiments run
-// with a buffer sized at 10 % of the index, capped at 1000 pages (§5).
-//
-// Sizing: a buffer of `capacity()` pages holds `capacity() × kPageSize`
-// bytes, and every resident frame is charged its page's occupied bytes
-// (LeafPageOccupiedBytes). Raw v1/v2 pages occupy the full 4 KB, so a raw
-// index keeps exactly `capacity()` frames resident; a v3 compressed leaf
-// charges only its header and compressed columns, so the same buffer keeps
-// proportionally more of a compressed index resident.
+// with a buffer sized at 10 % of the index, capped at 1000 pages (§5): a
+// buffer of `capacity()` pages keeps at most `capacity()` unpinned frames
+// resident, one 4 KB page each.
 //
 // Concurrency model: the frame table is split into shards, each with its own
 // mutex and LRU list, so concurrent queries pin pages mostly without
@@ -95,11 +90,11 @@ class PageGuard {
 
 /// Sharded LRU page cache with reference-counted pins.
 ///
-/// Pages map to shards by `id % shard_count`; each shard owns the bytes of
-/// `capacity / shard_count` pages (±1) and evicts independently, LRU-first,
+/// Pages map to shards by `id % shard_count`; each shard holds
+/// `capacity / shard_count` frames (±1) and evicts independently, LRU-first,
 /// skipping pinned frames. When every frame of a shard is pinned the shard
-/// grows past its budget instead of failing — pins are short-lived, so the
-/// overshoot is transient.
+/// grows past its frame count instead of failing — pins are short-lived, so
+/// the overshoot is transient.
 class BufferManager {
  public:
   /// `capacity_pages` must be >= 1. The buffer does not own `file`.
@@ -175,17 +170,12 @@ class BufferManager {
   void Unpin(internal::BufferShard* shard, internal::BufferFrame* frame,
              bool writable);
 
-  // Evicts unpinned LRU frames until the shard is back under its budget.
-  // Caller holds the shard mutex.
+  // Evicts unpinned LRU frames until the shard is back within its frame
+  // count. Caller holds the shard mutex.
   void EvictLocked(internal::BufferShard& shard);
 
-  // Distributes capacity_ pages' worth of bytes over the shards (±1 page,
-  // min 1).
-  void AssignShardBudgets();
-
-  // Bytes a resident `page` costs against its shard's budget; refreshed when
-  // a write pin drains.
-  static size_t ChargeOf(const Page& page);
+  // Distributes capacity_ frames over the shards (±1, min 1 each).
+  void AssignShardCapacities();
 
   PageFile* file_;
   size_t capacity_;

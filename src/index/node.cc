@@ -4,7 +4,6 @@
 #include <cstring>
 #include <string>
 
-#include "src/index/leaf_codec_v3.h"
 #include "src/util/check.h"
 
 namespace mst {
@@ -27,8 +26,11 @@ constexpr size_t kV2OffColumns = kLeafHeaderV2Size;
 
 constexpr uint8_t kV2FlagTimeSorted = 1u;
 
-// Format byte of the retired v3 compressed internal page, kept only so
-// ValidateNodePage can name it.
+// Format byte of v2 leaf pages.
+constexpr uint8_t kV2LeafVersion = 2;
+// Format bytes of the retired v3 compressed leaf and internal pages, kept
+// only so ValidateNodePage can name them.
+constexpr uint8_t kRetiredV3LeafVersion = 3;
 constexpr uint8_t kRetiredV3InternalVersion = 4;
 
 static_assert(sizeof(Mbb3) == 48, "v2 header embeds the MBB verbatim");
@@ -94,17 +96,6 @@ std::vector<LeafEntry> LeafColumns::ToVector() const {
   return out;
 }
 
-LeafBlock* LeafColumns::PrepareForDecode(int count, bool time_sorted,
-                                         const Mbb3& bounds) {
-  // Like AssignFromSoa, no re-zeroing: the v3 decoder writes every column
-  // in full (values + zero tail).
-  if (block_ == nullptr) block_ = AcquireBlock();
-  count_ = count;
-  sorted_ = time_sorted;
-  mbb_ = bounds;
-  return block_.get();
-}
-
 void LeafColumns::AssignFromSoa(const uint8_t* src, int count,
                                 bool time_sorted, const Mbb3& bounds) {
   // No EnsureBlock here: the full-block copy overwrites every byte anyway
@@ -124,21 +115,13 @@ Mbb3 IndexNode::Bounds() const {
   return m;
 }
 
-void IndexNode::EncodeTo(Page* page, LeafPageFormat leaf_format) const {
+void IndexNode::EncodeTo(Page* page) const {
   const int count = Count();
   MST_CHECK_MSG(count <= kCapacity, "node overflow at encode time");
 
-  if (IsLeaf() && leaf_format == LeafPageFormat::kV3Compressed) {
-    if (EncodeLeafV3(*this, page)) return;
-    // Incompressible leaf: the compressed columns don't fit the page, so
-    // degrade to the raw v2 layout below. Decode dispatches on the version
-    // byte, so readers never notice.
-  }
-
   if (IsLeaf()) {  // v2 columnar leaf layout
     page->WriteAt<uint8_t>(kV2OffLevel, 0);
-    page->WriteAt<uint8_t>(kV2OffVersion,
-                           static_cast<uint8_t>(LeafPageFormat::kV2Soa));
+    page->WriteAt<uint8_t>(kV2OffVersion, kV2LeafVersion);
     const uint8_t flags = leaves.time_sorted() ? kV2FlagTimeSorted : 0u;
     page->WriteAt<uint8_t>(kV2OffFlags, flags);
     page->WriteAt<uint8_t>(kV2OffCount, static_cast<uint8_t>(count));
@@ -176,7 +159,7 @@ IndexNode IndexNode::Decode(const Page& page, PageId self) {
   node.self = self;
 
   const uint8_t version = page.ReadAt<uint8_t>(kV2OffVersion);
-  if (version == static_cast<uint8_t>(LeafPageFormat::kV2Soa)) {
+  if (version == kV2LeafVersion) {
     node.level = 0;
     const uint8_t flags = page.ReadAt<uint8_t>(kV2OffFlags);
     const int count = page.ReadAt<uint8_t>(kV2OffCount);
@@ -187,20 +170,6 @@ IndexNode IndexNode::Decode(const Page& page, PageId self) {
     const Mbb3 bounds = page.ReadAt<Mbb3>(kV2OffBounds);
     node.leaves.AssignFromSoa(page.bytes.data() + kV2OffColumns, count,
                               (flags & kV2FlagTimeSorted) != 0, bounds);
-    return node;
-  }
-  if (version == static_cast<uint8_t>(LeafPageFormat::kV3Compressed)) {
-    node.level = 0;
-    const uint8_t flags = page.ReadAt<uint8_t>(kV2OffFlags);
-    const int count = page.ReadAt<uint8_t>(kV2OffCount);
-    MST_CHECK_MSG(count <= kCapacity, "corrupt v3 leaf count");
-    node.parent = page.ReadAt<PageId>(kV2OffParent);
-    node.prev_leaf = page.ReadAt<PageId>(kV2OffPrevLeaf);
-    node.next_leaf = page.ReadAt<PageId>(kV2OffNextLeaf);
-    const Mbb3 bounds = page.ReadAt<Mbb3>(kV2OffBounds);
-    LeafBlock* block = node.leaves.PrepareForDecode(
-        count, (flags & kV2FlagTimeSorted) != 0, bounds);
-    DecodeV3Columns(page, count, block);
     return node;
   }
   MST_CHECK_MSG(version == 0, "unknown node format version");
@@ -223,7 +192,7 @@ IndexNode IndexNode::Decode(const Page& page, PageId self) {
 
 std::string ValidateNodePage(const Page& page) {
   const uint8_t version = page.ReadAt<uint8_t>(kV2OffVersion);
-  if (version == static_cast<uint8_t>(LeafPageFormat::kV2Soa)) {
+  if (version == kV2LeafVersion) {
     const int count = page.ReadAt<uint8_t>(kV2OffCount);
     if (count > kNodeCapacity) {
       return "corrupt v2 leaf page: entry count " + std::to_string(count) +
@@ -231,9 +200,8 @@ std::string ValidateNodePage(const Page& page) {
     }
     return "";
   }
-  if (version == static_cast<uint8_t>(LeafPageFormat::kV3Compressed)) {
-    const std::string problem = ValidateV3LeafPage(page);
-    return problem.empty() ? "" : "corrupt v3 leaf page: " + problem;
+  if (version == kRetiredV3LeafVersion) {
+    return "v3 leaf pages are no longer supported; rebuild the index";
   }
   if (version == kRetiredV3InternalVersion) {
     return "v3 internal pages are no longer supported; rebuild the index";
@@ -244,7 +212,7 @@ std::string ValidateNodePage(const Page& page) {
   const int32_t level = page.ReadAt<int32_t>(0);
   if (level == 0) {
     return "unsupported v1 (row-major) leaf page; rebuild the index with v2 "
-           "or v3 leaves";
+           "leaves";
   }
   if (level < 0) return "corrupt v1 internal page: negative level";
   const int32_t count = page.ReadAt<int32_t>(4);
@@ -257,10 +225,7 @@ std::string ValidateNodePage(const Page& page) {
 
 int32_t NodePageLevel(const Page& page) {
   const uint8_t version = page.ReadAt<uint8_t>(kV2OffVersion);
-  if (version == static_cast<uint8_t>(LeafPageFormat::kV2Soa) ||
-      version == static_cast<uint8_t>(LeafPageFormat::kV3Compressed)) {
-    return 0;
-  }
+  if (version == kV2LeafVersion) return 0;
   return page.ReadAt<int32_t>(0);
 }
 

@@ -1,39 +1,30 @@
 // On-page node format shared by the 3D R-tree and the TB-tree.
 //
-// A node occupies exactly one 4 KB page. Two leaf-page layouts exist:
+// A node occupies exactly one 4 KB page, in one of two raw layouts:
 //
-//   v2 (SoA, default): 64-byte header (version byte, time-sorted flag, count,
-//                      parent/prev/next pages, exact per-leaf MBB) followed
-//                      by column-major entry arrays at fixed offsets:
-//                      t0[72] x0[72] y0[72] t1[72] x1[72] y1[72] id[72].
-//                      The columns fill the page exactly (64 + 72·56 = 4096),
-//                      so a decode is a single 4032-byte memcpy and DISSIM
-//                      kernels stream over contiguous columns with no
-//                      AoS→SoA repack.
-//   v3 (compressed):   the v2 header (version byte 3) followed by per-column
-//                      compressed payloads — delta-of-delta timestamps,
-//                      frame-of-reference coordinates, linked/constant
-//                      columns — all lossless; see src/index/leaf_codec_v3.h.
-//                      Incompressible leaves degrade to plain v2 pages at
-//                      encode time.
+//   v2 leaf (SoA):   64-byte header (version byte, time-sorted flag, count,
+//                    parent/prev/next pages, exact per-leaf MBB) followed
+//                    by column-major entry arrays at fixed offsets:
+//                    t0[72] x0[72] y0[72] t1[72] x1[72] y1[72] id[72].
+//                    The columns fill the page exactly (64 + 72·56 = 4096),
+//                    so a decode is a single 4032-byte memcpy and DISSIM
+//                    kernels stream over contiguous columns with no
+//                    AoS→SoA repack.
+//   v1 internal:     a 24-byte header (level, entry count, parent page, two
+//                    unused page links) followed by 56-byte row-major
+//                    entries (child MBB + child page).
 //
-// Internal nodes use one raw layout, v1: a 24-byte header (level, entry
-// count, parent page, two unused page links) followed by 56-byte row-major
-// entries (child MBB + child page). Fanout is (4096 − 24) / 56 = 72 entries
-// at every level in every format — index sizes and node-access counts are
-// layout-independent, which keeps the paper's Table 2 / Fig 8–10 metrics
-// byte-identical across leaf formats. (v3 leaves deliberately keep the
-// logical fanout at 72 too: the compression win is taken as smaller resident
-// frames in the buffer pool, which charges each frame its occupied bytes,
-// not as a larger fanout, so tree shapes and access counts stay comparable.)
+// Fanout is (4096 − 24) / 56 = 72 entries at every level, which is what the
+// paper's Table 2 / Fig 8–10 index sizes and node-access counts are
+// computed from.
 //
 // Format discrimination: byte 1 of the page. v1 internal pages store the node
 // level there as the second byte of a little-endian int32 — always 0 for the
-// tiny tree heights involved — while v2/v3 leaf pages store the version
-// value 2 or 3. (The codec assumes a little-endian host.) Two retired
-// layouts are refused by name: row-major v1 *leaf* pages and v3 compressed
-// internal pages (format byte 4). ValidateNodePage names them, and Decode
-// aborts on them.
+// tiny tree heights involved — while v2 leaf pages store the version value
+// 2. (The codec assumes a little-endian host.) Three retired layouts are
+// refused by name: row-major v1 *leaf* pages, v3 compressed leaf pages
+// (format byte 3) and v3 compressed internal pages (format byte 4).
+// ValidateNodePage names them, and Decode aborts on them.
 
 #ifndef MST_INDEX_NODE_H_
 #define MST_INDEX_NODE_H_
@@ -97,15 +88,7 @@ struct InternalEntry {
 static_assert(sizeof(InternalEntry) == 56, "page layout depends on this size");
 static_assert(std::is_trivially_copyable_v<InternalEntry>);
 
-/// Which on-page layout EncodeTo emits for leaf nodes. Values equal the
-/// page's version byte.
-enum class LeafPageFormat : uint8_t {
-  kV2Soa = 2,        ///< column-major entries (the default)
-  kV3Compressed = 3, ///< compressed columns (src/index/leaf_codec_v3.h);
-                     ///< incompressible leaves degrade to v2 pages
-};
-
-/// v1 header size / entry size and the per-node fanout every format shares.
+/// v1 header size / entry size and the per-node fanout of every level.
 inline constexpr size_t kNodeHeaderV1Size = 24;
 inline constexpr size_t kNodeEntrySize = 56;
 inline constexpr int kNodeCapacity =
@@ -294,12 +277,6 @@ class LeafColumns {
   void AssignFromSoa(const uint8_t* src, int count, bool time_sorted,
                      const Mbb3& bounds);
 
-  /// Hands the v3 decoder a (possibly recycled, still dirty) column block
-  /// to fill, adopting the header's precomputed metadata. The caller must
-  /// write every column in full — `count` values plus zeroed tail — which
-  /// DecodeV3Columns does.
-  LeafBlock* PrepareForDecode(int count, bool time_sorted, const Mbb3& bounds);
-
  private:
   // Obtains a zeroed block (recycled or fresh) on first use.
   void EnsureBlock();
@@ -339,13 +316,11 @@ struct IndexNode {
   /// Union MBB over the node's entries (empty box for an empty node).
   Mbb3 Bounds() const;
 
-  /// Serializes into `page` (asserts Count() <= kCapacity). Leaf nodes are
-  /// written in `leaf_format` (an incompressible v3 leaf degrades to v2),
-  /// internal nodes in the v1 layout.
-  void EncodeTo(Page* page,
-                LeafPageFormat leaf_format = LeafPageFormat::kV2Soa) const;
+  /// Serializes into `page` (asserts Count() <= kCapacity): leaf nodes in
+  /// the v2 layout, internal nodes in the v1 layout.
+  void EncodeTo(Page* page) const;
 
-  /// Parses a node from `page`, dispatching on the page's format version;
+  /// Parses a node from `page`, dispatching on the page's format byte;
   /// `self` is recorded for convenience. Aborts on a page ValidateNodePage
   /// rejects.
   static IndexNode Decode(const Page& page, PageId self);
@@ -359,10 +334,10 @@ struct IndexNode {
 using NodeRef = std::shared_ptr<const IndexNode>;
 
 /// Structural validation of an untrusted page (index file loads): a known
-/// format byte, an entry count within the node capacity, no row-major v1
-/// leaf, no v3 internal page, and for v3 leaves the full column checks of
-/// ValidateV3LeafPage. Empty string when the page decodes safely, else the
-/// first problem found, naming the page flavor.
+/// format byte, an entry count within the node capacity, and none of the
+/// retired layouts (row-major v1 leaf, v3 leaf, v3 internal page). Empty
+/// string when the page decodes safely, else the first problem found,
+/// naming the page flavor.
 std::string ValidateNodePage(const Page& page);
 
 /// Tree level stored in a page ValidateNodePage accepted: 0 for a leaf

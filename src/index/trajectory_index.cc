@@ -20,8 +20,7 @@ int64_t TrajectoryIndex::ThreadNodeAccesses() { return tls_node_accesses; }
 TrajectoryIndex::TrajectoryIndex(const Options& options)
     : file_(),
       buffer_(&file_, options.build_buffer_pages),
-      node_cache_(options.node_cache_nodes),
-      leaf_format_(options.leaf_format) {}
+      node_cache_(options.node_cache_nodes) {}
 
 TrajectoryIndex::~TrajectoryIndex() = default;
 
@@ -76,7 +75,7 @@ void TrajectoryIndex::WriteNode(const IndexNode& node) {
   MST_DCHECK(node.self != kInvalidPageId);
   {
     PageGuard guard = buffer_.PinMutable(node.self);
-    node.EncodeTo(guard.mutable_page(), leaf_format_);
+    node.EncodeTo(guard.mutable_page());
   }
   // Bump the page version after the bytes change: a concurrent decode of
   // the old bytes observed the old version and will fail to publish.

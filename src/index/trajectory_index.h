@@ -44,20 +44,15 @@ class TrajectoryIndex {
  public:
   /// Construction-time knobs. `build_buffer_pages` is the cache used while
   /// building; ConfigurePaperBuffer() later shrinks it to the experiment
-  /// setting (10 % of the index, max 1000 pages). The buffer charges each
-  /// frame its page's occupied bytes, so with v3 pages the same page count
-  /// keeps more of the index resident (see BufferManager).
+  /// setting (10 % of the index, max 1000 pages).
   /// `node_cache_nodes` sizes the decoded-node cache above the page buffer
   /// (0 disables it; it is an engineering layer, not part of the paper's I/O
   /// model — logical node accesses are counted identically with it on or
-  /// off). `leaf_format` selects the on-page leaf layout WriteNode emits (v2
-  /// columnar by default, or v3 compressed columnar — either way pages of
-  /// both formats decode transparently). Internal nodes are always written
-  /// in the raw v1 layout.
+  /// off). Leaves are always written as v2 pages and internal nodes as v1
+  /// pages (see node.h).
   struct Options {
     size_t build_buffer_pages = 4096;
     size_t node_cache_nodes = 4096;
-    LeafPageFormat leaf_format = LeafPageFormat::kV2Soa;
     /// Incremental-insert policy of the 3D R-tree (see RTreeVariant). Tree
     /// shape only: page formats, bulk loading (always STR), and exact k-MST
     /// results are unaffected by this knob.
@@ -173,9 +168,6 @@ class TrajectoryIndex {
   NodeCache& node_cache() const { return node_cache_; }
   PageFile& file() { return file_; }
 
-  /// On-page leaf layout this index writes (decoding accepts both).
-  LeafPageFormat leaf_format() const { return leaf_format_; }
-
   /// Structural invariant check (MBB containment, counts, parent links where
   /// maintained). Aborts on violation; O(nodes). For tests.
   void CheckInvariants() const;
@@ -229,7 +221,6 @@ class TrajectoryIndex {
   mutable PageFile file_;
   mutable BufferManager buffer_;
   mutable NodeCache node_cache_;
-  LeafPageFormat leaf_format_ = LeafPageFormat::kV2Soa;
   PageId root_ = kInvalidPageId;
   int height_ = 0;
   int64_t entry_count_ = 0;

@@ -20,7 +20,7 @@ namespace mst {
 
 class DeltaIndex {
  public:
-  /// `options` configures each snapshot tree (page budget, leaf format —
+  /// `options` configures each snapshot tree (page budget, node cache —
   /// the delta serves the same read path as the main tree).
   explicit DeltaIndex(const TrajectoryIndex::Options& options)
       : options_(options) {}

@@ -84,7 +84,7 @@ class IngestEngine {
  public:
   struct Options {
     Wal::Options wal;
-    /// Page/cache/leaf-format configuration of the main and delta trees.
+    /// Page-buffer and node-cache configuration of the main and delta trees.
     TrajectoryIndex::Options index;
     /// Delta size (segments) at which the background merger kicks in.
     size_t merge_threshold_entries = 4096;

@@ -65,11 +65,13 @@ void SetError(std::string* error, const std::string& message) {
 }
 
 // Walks the tree from the root over pages that already passed
-// ValidateNodePage, so a query can neither pin a page outside the file nor
-// loop: every child id must lie in [0, page_count) and every child must sit
-// exactly one level below its parent (levels strictly decrease, which also
-// rules out cycles). Each page is expanded once. Empty string when sound,
-// else the first problem found.
+// ValidateNodePage, so a query can neither pin a page outside the file, nor
+// loop, nor prune a subtree on a box that does not cover it: every child id
+// must lie in [0, page_count), every child must sit exactly one level below
+// its parent (levels strictly decrease, which also rules out cycles), every
+// parent entry's box must contain its child's contents, and every leaf's
+// stored box must contain each of its segments. Each page is expanded once.
+// Empty string when sound, else the first problem found.
 std::string ValidateTreeShape(const Header& header,
                               const std::vector<Page>& pages) {
   if (header.page_count == 0) return "";
@@ -85,9 +87,16 @@ std::string ValidateTreeShape(const Header& header,
   while (!pending.empty()) {
     const PageId id = pending.back();
     pending.pop_back();
-    const int32_t level = NodePageLevel(pages[id]);
-    if (level == 0) continue;
     const IndexNode node = IndexNode::Decode(pages[id], id);
+    if (node.IsLeaf()) {
+      for (size_t i = 0; i < node.leaves.size(); ++i) {
+        if (!node.leaves.bounds().Contains(node.leaves[i].Bounds())) {
+          return "page " + std::to_string(id) + ": entry " +
+                 std::to_string(i) + " lies outside the leaf's stored box";
+        }
+      }
+      continue;
+    }
     for (const InternalEntry& e : node.internals) {
       const auto edge = [&] {
         return "page " + std::to_string(id) + ": child page " +
@@ -98,9 +107,14 @@ std::string ValidateTreeShape(const Header& header,
                ")";
       }
       const int32_t child_level = NodePageLevel(pages[e.child]);
-      if (child_level != level - 1) {
+      if (child_level != node.level - 1) {
         return edge() + " has level " + std::to_string(child_level) +
-               ", expected " + std::to_string(level - 1);
+               ", expected " + std::to_string(node.level - 1);
+      }
+      // An empty child is contained trivially, whatever box it stores.
+      const IndexNode child = IndexNode::Decode(pages[e.child], e.child);
+      if (child.Count() > 0 && !e.mbb.Contains(child.Bounds())) {
+        return edge() + " lies outside its parent entry's box";
       }
       if (!expanded[e.child]) {
         expanded[e.child] = true;

@@ -22,18 +22,18 @@ bool SaveIndex(const TrajectoryIndex& index, const std::string& path);
 /// answers all read-side queries; calling Insert on it aborts. Returns
 /// nullptr and fills `*error` on failure: when any page fails
 /// ValidateNodePage (unknown format byte, entry count beyond the node
-/// capacity, a row-major v1 leaf, a v3 internal page, a corrupt v3 leaf),
-/// or when the tree reachable from the root is malformed (a child page id
+/// capacity, a retired row-major v1 leaf, v3 leaf or v3 internal page), or
+/// when the tree reachable from the root is malformed (a child page id
 /// outside the file, a child whose level is not its parent's level − 1, a
-/// root whose level is not height − 1).
+/// root whose level is not height − 1, a parent entry whose box does not
+/// contain its child, a leaf whose stored box does not contain one of its
+/// segments).
 std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
                                            std::string* error);
 
-/// LoadIndex with explicit buffer/cache/leaf-format configuration of the
-/// loaded index (the leaf format only matters for writes, which a loaded
-/// index rejects). A zero-page build buffer is an error, reported before
-/// any I/O. The two-argument overload is equivalent to passing default
-/// options.
+/// LoadIndex with explicit buffer/cache configuration of the loaded index.
+/// A zero-page build buffer is an error, reported before any I/O. The
+/// two-argument overload is equivalent to passing default options.
 std::unique_ptr<TrajectoryIndex> LoadIndex(
     const std::string& path, const TrajectoryIndex::Options& options,
     std::string* error);

@@ -4,9 +4,9 @@
 // scan oracles — exact-period k-MST through the concurrent executor vs
 // LinearScanKMst, and time-relaxed k-MST vs TimeRelaxedKMst (whose index
 // traversal runs above the node cache but never touches the result cache).
-// Both leaf-page formats (v2, v3), node cache off/on, must do the same for
-// exact k-MST on every backend, with node-access counts independent of the
-// format.
+// Every backend (3D R-tree, TB-tree, STR-tree) behind a paper-sized buffer,
+// node cache off/on, must do the same for exact k-MST, with node-access
+// counts independent of the node cache.
 
 #include <gtest/gtest.h>
 
@@ -189,38 +189,36 @@ TEST(CachingStackCrossCheckTest, TimeRelaxedNodeAccessesAreCacheInvariant) {
   }
 }
 
-// The compressed stack — v3 leaves behind a paper-sized buffer and a small
-// node cache — must stay byte-identical to the plain default stack, on a
-// freshly built tree and on a mixed-format file reloaded from disk (v3
-// leaves alongside raw v1 internal pages and any v2 fallback leaves).
-TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
+// The paper stack — a paper-sized buffer and a small node cache, both
+// evicting — must stay byte-identical to the plain default stack, on a
+// freshly built tree and on the same tree reloaded from disk, while the
+// buffer keeps no more frames resident than its page count.
+TEST(CachingStackCrossCheckTest, PaperStackIsByteIdenticalOnReloadedFiles) {
   GstdOptions opt;
   opt.num_objects = 40;
   opt.samples_per_object = 100;
   opt.seed = 4453;
   const TrajectoryStore store = GenerateGstd(opt);
 
-  TBTree plain;  // v2 leaves, v1 internals
+  TBTree plain;
   plain.BuildFrom(store);
 
-  TrajectoryIndex::Options compressed_opt;
-  compressed_opt.leaf_format = LeafPageFormat::kV3Compressed;
+  TrajectoryIndex::Options paper_opt;
   // Small cache so it actually evicts during the run.
-  compressed_opt.node_cache_nodes = 64;
-  TBTree compressed(compressed_opt);
-  compressed.BuildFrom(store);
-  compressed.ConfigurePaperBuffer();
+  paper_opt.node_cache_nodes = 64;
+  TBTree paper(paper_opt);
+  paper.BuildFrom(store);
+  paper.ConfigurePaperBuffer();
 
-  const std::string path =
-      ::testing::TempDir() + "/compressed_stack_mixed.mst";
-  ASSERT_TRUE(SaveIndex(compressed, path));
+  const std::string path = ::testing::TempDir() + "/paper_stack.mst";
+  ASSERT_TRUE(SaveIndex(paper, path));
   std::string error;
-  const auto loaded = LoadIndex(path, compressed_opt, &error);
+  const auto loaded = LoadIndex(path, paper_opt, &error);
   ASSERT_NE(loaded, nullptr) << error;
   loaded->ConfigurePaperBuffer();
 
   const BFMstSearch s_plain(&plain, &store);
-  const BFMstSearch s_comp(&compressed, &store);
+  const BFMstSearch s_paper(&paper, &store);
   const BFMstSearch s_loaded(loaded.get(), &store);
   Rng rng(79);
   for (int i = 0; i < 12; ++i) {
@@ -230,10 +228,10 @@ TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
     q_opt.k = 4;
     q_opt.exclude_id = q.id();
     MstStats st_plain;
-    MstStats st_comp;
+    MstStats st_paper;
     MstStats st_loaded;
     const auto a = s_plain.Search(q, q.Lifespan(), q_opt, &st_plain);
-    const auto b = s_comp.Search(q, q.Lifespan(), q_opt, &st_comp);
+    const auto b = s_paper.Search(q, q.Lifespan(), q_opt, &st_paper);
     const auto c = s_loaded.Search(q, q.Lifespan(), q_opt, &st_loaded);
     ASSERT_EQ(b.size(), a.size());
     ASSERT_EQ(c.size(), a.size());
@@ -243,21 +241,20 @@ TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
       EXPECT_EQ(c[j].id, a[j].id);
       EXPECT_EQ(c[j].dissim, a[j].dissim);
     }
-    EXPECT_EQ(st_comp.nodes_accessed, st_plain.nodes_accessed);
+    EXPECT_EQ(st_paper.nodes_accessed, st_plain.nodes_accessed);
     EXPECT_EQ(st_loaded.nodes_accessed, st_plain.nodes_accessed);
   }
-  // The compressed frames are charged their occupied bytes, so the
-  // paper-sized buffer holds more of them than its page count.
-  EXPECT_GT(compressed.buffer().resident_frames(),
-            compressed.buffer().capacity());
-  EXPECT_GT(loaded->buffer().resident_frames(), loaded->buffer().capacity());
-  EXPECT_GT(compressed.node_cache().hits(), 0);
+  // One page per frame: the paper-sized buffer holds exactly its page
+  // count once the queries have touched more pages than that.
+  EXPECT_EQ(paper.buffer().resident_frames(), paper.buffer().capacity());
+  EXPECT_EQ(loaded->buffer().resident_frames(), loaded->buffer().capacity());
+  EXPECT_GT(paper.node_cache().hits(), 0);
 }
 
-// (leaf format, node cache enabled)
-using FormatConfig = std::tuple<LeafPageFormat, bool>;
+// (node cache enabled, backend: 0 = 3D R-tree, 1 = TB-tree, 2 = STR-tree)
+using BackendConfig = std::tuple<bool, int>;
 
-class CachingStackFormatTest : public ::testing::TestWithParam<FormatConfig> {
+class CachingStackFormatTest : public ::testing::TestWithParam<BackendConfig> {
  protected:
   static void SetUpTestSuite() {
     GstdOptions opt;
@@ -276,6 +273,18 @@ class CachingStackFormatTest : public ::testing::TestWithParam<FormatConfig> {
 };
 
 const TrajectoryStore* CachingStackFormatTest::store_ = nullptr;
+
+// Test-name label of a BuildBackend backend number.
+std::string BackendName(int backend) {
+  switch (backend) {
+    case 0:
+      return "RTree";
+    case 1:
+      return "TBTree";
+    default:
+      return "STRTree";
+  }
+}
 
 std::unique_ptr<TrajectoryIndex> BuildBackend(
     int backend, const TrajectoryIndex::Options& options,
@@ -297,68 +306,62 @@ std::unique_ptr<TrajectoryIndex> BuildBackend(
   return index;
 }
 
-// Exact k-MST through each backend, behind a paper-sized buffer and (when
+// Exact k-MST through the backend, behind a paper-sized buffer and (when
 // on) a small node cache so both evict, must equal LinearScan bitwise; the
-// tree shape and node accesses must equal the default-format stack's. Each
-// query runs twice so the repeat reads warm caches. With the node cache off
-// every leaf is decoded from its buffer frame on every read.
+// tree shape and node accesses must equal the uncached stack's. Each query
+// runs twice so the repeat reads warm caches. With the node cache off every
+// leaf is decoded from its buffer frame on every read.
 TEST_P(CachingStackFormatTest, KMstMatchesLinearScanOnEveryBackend) {
-  const auto [leaf_format, node_cache_on] = GetParam();
+  const auto [node_cache_on, backend] = GetParam();
   TrajectoryIndex::Options opt;
-  opt.leaf_format = leaf_format;
   opt.node_cache_nodes = node_cache_on ? 32 : 0;
   TrajectoryIndex::Options baseline_opt;
   baseline_opt.node_cache_nodes = 0;
 
-  for (int backend = 0; backend < 3; ++backend) {
-    const auto index = BuildBackend(backend, opt, *store_);
-    const auto baseline = BuildBackend(backend, baseline_opt, *store_);
-    ASSERT_EQ(index->NodeCount(), baseline->NodeCount()) << index->name();
-    ASSERT_EQ(index->root(), baseline->root()) << index->name();
-    const BFMstSearch search(index.get(), store_);
-    const BFMstSearch base_search(baseline.get(), store_);
+  const auto index = BuildBackend(backend, opt, *store_);
+  const auto baseline = BuildBackend(backend, baseline_opt, *store_);
+  ASSERT_EQ(index->NodeCount(), baseline->NodeCount()) << index->name();
+  ASSERT_EQ(index->root(), baseline->root()) << index->name();
+  const BFMstSearch search(index.get(), store_);
+  const BFMstSearch base_search(baseline.get(), store_);
 
-    Rng rng(83);
-    for (int i = 0; i < 4; ++i) {
-      const Trajectory& q = store_->trajectories()[rng.UniformIndex(
-          store_->trajectories().size())];
-      MstOptions q_opt;
-      q_opt.k = 4;
-      q_opt.exclude_id = q.id();
-      const std::vector<MstResult> oracle =
-          LinearScanKMst(*store_, q, q.Lifespan(), q_opt.k,
-                         IntegrationPolicy::kExact, q.id());
-      MstStats base_stats;
-      (void)base_search.Search(q, q.Lifespan(), q_opt, &base_stats);
-      for (int pass = 0; pass < 2; ++pass) {
-        MstStats stats;
-        const auto got = search.Search(q, q.Lifespan(), q_opt, &stats);
-        ASSERT_EQ(got.size(), oracle.size()) << index->name();
-        for (size_t j = 0; j < oracle.size(); ++j) {
-          EXPECT_EQ(got[j].id, oracle[j].id) << index->name() << " rank " << j;
-          EXPECT_EQ(got[j].dissim, oracle[j].dissim)
-              << index->name() << " rank " << j;
-        }
-        EXPECT_EQ(stats.nodes_accessed, base_stats.nodes_accessed)
-            << index->name();
-        EXPECT_EQ(stats.leaf_entries_seen, base_stats.leaf_entries_seen)
-            << index->name();
+  Rng rng(83);
+  for (int i = 0; i < 4; ++i) {
+    const Trajectory& q = store_->trajectories()[rng.UniformIndex(
+        store_->trajectories().size())];
+    MstOptions q_opt;
+    q_opt.k = 4;
+    q_opt.exclude_id = q.id();
+    const std::vector<MstResult> oracle =
+        LinearScanKMst(*store_, q, q.Lifespan(), q_opt.k,
+                       IntegrationPolicy::kExact, q.id());
+    MstStats base_stats;
+    (void)base_search.Search(q, q.Lifespan(), q_opt, &base_stats);
+    for (int pass = 0; pass < 2; ++pass) {
+      MstStats stats;
+      const auto got = search.Search(q, q.Lifespan(), q_opt, &stats);
+      ASSERT_EQ(got.size(), oracle.size()) << index->name();
+      for (size_t j = 0; j < oracle.size(); ++j) {
+        EXPECT_EQ(got[j].id, oracle[j].id) << index->name() << " rank " << j;
+        EXPECT_EQ(got[j].dissim, oracle[j].dissim)
+            << index->name() << " rank " << j;
       }
+      EXPECT_EQ(stats.nodes_accessed, base_stats.nodes_accessed)
+          << index->name();
+      EXPECT_EQ(stats.leaf_entries_seen, base_stats.leaf_entries_seen)
+          << index->name();
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PageFormatMatrix, CachingStackFormatTest,
-    ::testing::Combine(::testing::Values(LeafPageFormat::kV2Soa,
-                                         LeafPageFormat::kV3Compressed),
-                       ::testing::Bool()),
+    ::testing::Combine(::testing::Bool(), ::testing::Values(0, 1, 2)),
     [](const auto& info) {
-      // Internal pages are always v1.
-      return std::string("V1Internal") +
-             (std::get<0>(info.param) == LeafPageFormat::kV2Soa ? "_V2Leaf"
-                                                                : "_V3Leaf") +
-             (std::get<1>(info.param) ? "_NodeCacheOn" : "_NodeCacheOff");
+      // Every file keeps v1 internal pages and v2 leaf pages.
+      return std::string("V1Internal_V2Leaf_") +
+             (std::get<0>(info.param) ? "NodeCacheOn_" : "NodeCacheOff_") +
+             BackendName(std::get<1>(info.param));
     });
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,12 +17,12 @@
 
 #include "src/core/mst_search.h"
 #include "src/exec/query_executor.h"
-#include "src/index/leaf_codec_v3.h"
 #include "src/index/node.h"
 #include "src/index/rtree3d.h"
 #include "src/ingest/delta_index.h"
 #include "src/ingest/ingest_engine.h"
 #include "src/ingest/wal_storage.h"
+#include "src/io/index_io.h"
 #include "src/shard/shard_frontend.h"
 #include "src/shard/sharded_index.h"
 #include "src/shard/sharded_ingest.h"
@@ -183,14 +183,12 @@ TEST(IngestEngineTest, SearchMatchesBulkLoadOracleAcrossPolicies) {
   ExpectMatchesOracle(engine, TrajectoryIndex::Options());
 }
 
-// Regression: the merge path (and the delta trees it drains) must emit the
-// leaf format configured in Options::index, not a hardcoded default, next to
-// raw v1 internal pages.
-TEST(IngestEngineTest, MergeEmitsConfiguredLeafAndInternalFormats) {
+// The merge path writes v2 leaf pages next to raw v1 internal pages, and its
+// packed main tree survives a save and reload: LoadIndex's structural checks
+// (levels, child ids, parent boxes containing their children) accept it.
+TEST(IngestEngineTest, MergeEmitsV2LeavesAndV1Internals) {
   MemWalStorageSet storage;
-  IngestEngine::Options options;
-  options.index.leaf_format = LeafPageFormat::kV3Compressed;
-  IngestEngine engine(&storage, options);
+  IngestEngine engine(&storage);
   RecordFeed feed(47, /*num_ids=*/20);
   // Enough segments for a multi-level main tree after the merge.
   for (int b = 0; b < 400; ++b) ASSERT_TRUE(engine.Append(feed.NextBatch()));
@@ -200,18 +198,26 @@ TEST(IngestEngineTest, MergeEmitsConfiguredLeafAndInternalFormats) {
   const IndexView view = engine.View();
   ASSERT_GT(view.main->height(), 1) << "need at least one internal node";
   view.main->buffer().Flush();
-  int v3_leaves = 0;
+  int v2_leaves = 0;
   int v1_internals = 0;
   for (PageId id = 0; id < view.main->NodeCount(); ++id) {
     const PageGuard page = view.main->buffer().Pin(id);
-    if (IsV3LeafPage(*page)) ++v3_leaves;
+    if (page->bytes[1] == 2) ++v2_leaves;
     else if (NodePageLevel(*page) > 0 && page->bytes[1] == 0) ++v1_internals;
   }
-  EXPECT_GT(v3_leaves, 0) << "merge ignored the configured leaf format";
+  EXPECT_EQ(v2_leaves + v1_internals, view.main->NodeCount());
+  EXPECT_GT(v2_leaves, 0);
   EXPECT_GT(v1_internals, 0) << "expected raw v1 internal pages";
 
-  // And the compressed output still answers queries bitwise-identically.
-  ExpectMatchesOracle(engine, options.index);
+  const std::string path = ::testing::TempDir() + "/merged_main.mst";
+  ASSERT_TRUE(SaveIndex(*view.main, path));
+  std::string error;
+  const auto loaded = LoadIndex(path, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  EXPECT_EQ(loaded->NodeCount(), view.main->NodeCount());
+  loaded->CheckInvariants();
+
+  ExpectMatchesOracle(engine, TrajectoryIndex::Options());
 }
 
 // The rtree_variant knob flows through Options::index into the engine's

@@ -8,7 +8,8 @@
 #include "src/core/linear_scan.h"
 #include "src/core/mst_search.h"
 #include "src/gen/gstd.h"
-#include "src/index/leaf_codec_v3.h"
+#include "src/index/rtree3d.h"
+#include "src/index/strtree.h"
 #include "src/index/tbtree.h"
 #include "src/io/csv.h"
 #include "src/io/index_io.h"
@@ -294,49 +295,28 @@ long FindPageOffset(const std::string& path, uint8_t version) {
   }
 }
 
-TEST(IndexIoTest, RejectsCorruptV3LeafPages) {
+// Format byte (byte 1) of a v2 leaf page.
+constexpr uint8_t kV2LeafFormat = 2;
+
+// The retired v3 compressed leaf layout (format byte 3) is refused by name,
+// so an old file asks for a rebuild instead of aborting its first query.
+TEST(IndexIoTest, RejectsV3LeafPages) {
   const TrajectoryStore store = SampleStore();
-  TBTree::Options opt;
-  opt.leaf_format = LeafPageFormat::kV3Compressed;
-  TBTree tree(opt);
+  TBTree tree;
   tree.BuildFrom(store);
-  const std::string path = TempPath("corrupt_v3.mst");
-
+  const std::string path = TempPath("v3_leaf.mst");
   ASSERT_TRUE(SaveIndex(tree, path));
-  const long page = FindPageOffset(
-      path, static_cast<uint8_t>(LeafPageFormat::kV3Compressed));
-  ASSERT_GT(page, 0) << "expected at least one compressed leaf";
-  // Pristine file loads and queries fine.
+  const long leaf = FindPageOffset(path, kV2LeafFormat);
+  ASSERT_GT(leaf, 0);
+
+  const uint8_t version = 3;
+  PatchFile(path, leaf + 1, &version, 1);
   std::string error;
-  ASSERT_NE(LoadIndex(path, &error), nullptr) << error;
-
-  // An undefined column encoding tag.
-  uint8_t byte = 200;
-  PatchFile(path, page + static_cast<long>(kV3OffTags), &byte, 1);
   EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("corrupt v3 leaf page"), std::string::npos) << error;
-  EXPECT_NE(error.find("encoding tag"), std::string::npos) << error;
-
-  // An entry count beyond node capacity.
-  ASSERT_TRUE(SaveIndex(tree, path));
-  byte = 255;
-  PatchFile(path, page + 3, &byte, 1);
-  EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("entry count"), std::string::npos) << error;
-
-  // A truncated / mis-sized column payload (first column's length field
-  // inflated by one byte).
-  ASSERT_TRUE(SaveIndex(tree, path));
-  FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, page + static_cast<long>(kV3OffLengths), SEEK_SET),
-            0);
-  ASSERT_EQ(std::fread(&byte, 1, 1, f), 1u);
-  std::fclose(f);
-  byte += 1;
-  PatchFile(path, page + static_cast<long>(kV3OffLengths), &byte, 1);
-  EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("column payload"), std::string::npos) << error;
+  EXPECT_NE(error.find("v3 leaf pages are no longer supported; rebuild the "
+                       "index"),
+            std::string::npos)
+      << error;
 }
 
 // Raw pages carry an entry count the decoders trust. An out-of-range count
@@ -348,7 +328,7 @@ TEST(IndexIoTest, RejectsOversizedEntryCounts) {
   const std::string path = TempPath("oversized_count.mst");
   ASSERT_TRUE(SaveIndex(tree, path));
   const long leaf =
-      FindPageOffset(path, static_cast<uint8_t>(LeafPageFormat::kV2Soa));
+      FindPageOffset(path, kV2LeafFormat);
   const long internal = FindPageOffset(path, 0);
   ASSERT_GT(leaf, 0);
   ASSERT_GT(internal, 0) << "expected a v1 internal page";
@@ -379,7 +359,7 @@ TEST(IndexIoTest, RejectsUnknownPageFormatByte) {
   const std::string path = TempPath("unknown_format.mst");
   ASSERT_TRUE(SaveIndex(tree, path));
   const long leaf =
-      FindPageOffset(path, static_cast<uint8_t>(LeafPageFormat::kV2Soa));
+      FindPageOffset(path, kV2LeafFormat);
   ASSERT_GT(leaf, 0);
 
   const uint8_t version = 9;
@@ -399,7 +379,7 @@ TEST(IndexIoTest, RejectsV1LeafPages) {
   const std::string path = TempPath("v1_leaf.mst");
   ASSERT_TRUE(SaveIndex(tree, path));
   const long leaf =
-      FindPageOffset(path, static_cast<uint8_t>(LeafPageFormat::kV2Soa));
+      FindPageOffset(path, kV2LeafFormat);
   ASSERT_GT(leaf, 0);
 
   // A v1 header: int32 level 0 (a leaf) and int32 entry count 5.
@@ -503,6 +483,95 @@ TEST(IndexIoTest, RejectsChildLevelMismatch) {
   PatchFile(path, kHeightOffset, &height, sizeof(height));
   EXPECT_EQ(LoadIndex(path, &error), nullptr);
   EXPECT_NE(error.find("expected height - 1"), std::string::npos) << error;
+}
+
+// A parent entry whose box does not contain its child used to load fine; a
+// query then pruned the child's subtree on the narrowed box and returned
+// wrong answers. Here the root's first entry loses most of its time extent.
+TEST(IndexIoTest, RejectsParentBoxNotContainingChild) {
+  const TrajectoryStore store = SampleStore();
+  TBTree tree;
+  tree.BuildFrom(store);
+  ASSERT_GE(tree.height(), 2);
+  const std::string path = TempPath("parent_box.mst");
+  ASSERT_TRUE(SaveIndex(tree, path));
+
+  const NodeRef root = tree.ReadNode(tree.root());
+  const InternalEntry& entry = root->internals.front();
+  // A v1 entry's MBB (xlo ylo tlo xhi yhi thi) ends right before its child
+  // id, so thi is the double just before it.
+  const double thi = entry.mbb.tlo;
+  ASSERT_LT(thi, entry.mbb.thi);
+  PatchFile(path,
+            FirstChildIdOffset(tree.root()) -
+                static_cast<long>(sizeof(double)),
+            &thi, sizeof(thi));
+  std::string error;
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("page " + std::to_string(tree.root()) +
+                       ": child page " + std::to_string(entry.child) +
+                       " lies outside its parent entry's box"),
+            std::string::npos)
+      << error;
+}
+
+// A v2 leaf's stored box must contain each of its segments: the header box
+// is what the leaf reports as its bounds.
+TEST(IndexIoTest, RejectsLeafBoxNotContainingEntry) {
+  const TrajectoryStore store = SampleStore();
+  TBTree tree;
+  tree.BuildFrom(store);
+  const std::string path = TempPath("leaf_box.mst");
+  ASSERT_TRUE(SaveIndex(tree, path));
+  const long leaf = FindPageOffset(path, kV2LeafFormat);
+  ASSERT_GT(leaf, 0);
+  const PageId leaf_id =
+      static_cast<PageId>((leaf - 8 - 64) / static_cast<long>(kPageSize));
+  const Mbb3 stored = tree.ReadNode(leaf_id)->Bounds();
+  ASSERT_LT(stored.tlo, stored.thi);
+
+  // The v2 header stores the box at byte 16; narrow its thi to its tlo.
+  PatchFile(path, leaf + 16 + static_cast<long>(5 * sizeof(double)),
+            &stored.tlo, sizeof(stored.tlo));
+  std::string error;
+  EXPECT_EQ(LoadIndex(path, &error), nullptr);
+  EXPECT_NE(error.find("page " + std::to_string(leaf_id) + ": entry "),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("lies outside the leaf's stored box"),
+            std::string::npos)
+      << error;
+}
+
+// Every way this codebase builds a tree — incremental 3D R-tree (quadratic
+// and R*), STR bulk load, TB-tree, STR-tree — saves to a file that passes
+// every load-time check and reloads to the same tree.
+TEST(IndexIoTest, EveryBackendSavedTreeLoads) {
+  const TrajectoryStore store = SampleStore();
+  TrajectoryIndex::Options rstar;
+  rstar.rtree_variant = RTreeVariant::kRStar;
+  std::vector<std::unique_ptr<TrajectoryIndex>> trees;
+  trees.push_back(std::make_unique<RTree3D>());
+  trees.push_back(std::make_unique<RTree3D>(rstar));
+  trees.push_back(std::make_unique<TBTree>());
+  trees.push_back(std::make_unique<STRTree>());
+  for (const auto& tree : trees) tree->BuildFrom(store);
+  auto bulk = std::make_unique<RTree3D>();
+  bulk->BulkLoad(store);
+  trees.push_back(std::move(bulk));
+
+  for (size_t i = 0; i < trees.size(); ++i) {
+    const TrajectoryIndex& tree = *trees[i];
+    ASSERT_GE(tree.height(), 2) << tree.name();
+    const std::string path = TempPath("backend" + std::to_string(i) + ".mst");
+    ASSERT_TRUE(SaveIndex(tree, path));
+    std::string error;
+    const auto loaded = LoadIndex(path, &error);
+    ASSERT_NE(loaded, nullptr) << tree.name() << ": " << error;
+    EXPECT_EQ(loaded->NodeCount(), tree.NodeCount()) << tree.name();
+    EXPECT_EQ(loaded->root(), tree.root()) << tree.name();
+    loaded->CheckInvariants();
+  }
 }
 
 TEST(IndexIoTest, RejectsTruncatedFile) {

@@ -137,41 +137,30 @@ TEST(BufferManagerTest, SetCapacityShrinksAndEvicts) {
   for (PageId id = 0; id < 6; ++id) buf.Pin(id);
 }
 
-TEST(BufferManagerTest, ByteBudgetKeepsMoreCompressedPagesResident) {
+TEST(BufferManagerTest, EveryPageOccupiesOneFrame) {
+  // The buffer counts frames, not bytes, and never reads a page's header to
+  // size it: a page whose format byte (byte 1) is 3, the retired
+  // compressed-leaf layout, still occupies exactly one frame.
+  Page page;
+  page.bytes[1] = 3;
   PageFile f;
-  // A maximally compressible v3 leaf: constant columns occupy 144 bytes of
-  // the 4 KB page.
-  IndexNode node;
-  node.level = 0;
-  LeafEntry e;
-  e.traj_id = 42;
-  e.t0 = 1.0;
-  e.t1 = 2.0;
-  e.x0 = e.x1 = 3.5;
-  e.y0 = e.y1 = -4.25;
-  for (int i = 0; i < IndexNode::kCapacity; ++i) node.leaves.push_back(e);
-  Page encoded;
-  node.EncodeTo(&encoded, LeafPageFormat::kV3Compressed);
   std::vector<PageId> ids;
   for (int i = 0; i < 16; ++i) {
     ids.push_back(f.Allocate());
-    f.Write(ids.back(), encoded);
+    f.Write(ids.back(), page);
   }
 
-  // A 4-page buffer is 4 pages' worth of bytes, and each compressed frame
-  // is charged only its occupied bytes: all 16 frames stay resident.
   BufferManager buf(&f, 4, /*num_shards=*/1);
   for (const PageId id : ids) buf.Pin(id);
-  EXPECT_EQ(buf.resident_frames(), 16u);
+  EXPECT_EQ(buf.resident_frames(), 4u);
   const int64_t misses_before = buf.misses();
   for (const PageId id : ids) buf.Pin(id);
-  EXPECT_EQ(buf.misses(), misses_before);  // all hits
+  EXPECT_EQ(buf.misses(), misses_before + 16);  // cyclic scan: all misses
 }
 
 TEST(BufferManagerTest, RawPagesKeepExactlyCapacityFrames) {
-  // Raw v2 leaf and v1 internal pages occupy the full 4 KB, so the byte
-  // budget keeps exactly capacity() of them resident — the paper's
-  // page-count LRU.
+  // v2 leaf and v1 internal pages alike: the buffer keeps exactly
+  // capacity() of them resident — the paper's page-count LRU.
   IndexNode leaf;
   leaf.level = 0;
   leaf.leaves.push_back(LeafEntry::Of(1, {0.0, {0.0, 0.0}}, {1.0, {1.0, 1.0}}));

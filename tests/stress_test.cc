@@ -99,34 +99,6 @@ TEST_P(StressTest, AllEnginesAgreeWithScanOnMessyData) {
   }
 }
 
-TEST_P(StressTest, VmaxOverrideStaysExactWhenConservative) {
-  // Any V_max not below the true one keeps the bounds sound; a larger
-  // (looser) V_max must not change results, only pruning.
-  const uint64_t seed = GetParam();
-  const TrajectoryStore store = MessyStore(seed);
-  TBTree index;
-  index.BuildFrom(store);
-  const BFMstSearch searcher(&index, &store);
-
-  Rng rng(seed + 99);
-  const Trajectory& base = store.trajectories()[rng.UniformIndex(20)];
-  const Trajectory query(8888, base.Slice({0.2, 0.5})->samples());
-  const auto want = LinearScanKMst(store, query, query.Lifespan(), 3,
-                                   IntegrationPolicy::kExact);
-
-  const double true_vmax = index.max_speed() + query.MaxSpeed();
-  for (const double factor : {1.0, 2.0, 10.0}) {
-    MstOptions options;
-    options.k = 3;
-    options.vmax_override = true_vmax * factor;
-    const auto got = searcher.Search(query, query.Lifespan(), options);
-    ASSERT_EQ(got.size(), want.size()) << "factor " << factor;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, want[i].id) << "factor " << factor;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, StressTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            34u));

@@ -92,15 +92,11 @@ int CmdGenerate(int argc, char** argv) {
 int CmdIndex(int argc, char** argv) {
   std::string data;
   std::string kind = "tbtree";
-  std::string leaf_format = "v2";
   std::string rtree_variant = "quadratic";
   std::string out;
   FlagParser flags;
   flags.AddString("data", &data, "input CSV dataset (required)");
   flags.AddString("kind", &kind, "rtree | rtree-bulk | tbtree | strtree");
-  flags.AddString("leaf_format", &leaf_format,
-                  "leaf page layout: v2 (columnar) | v3 (compressed "
-                  "columnar)");
   flags.AddString("rtree_variant", &rtree_variant,
                   "--kind=rtree insertion policy: quadratic (Guttman) | "
                   "rstar (R*: overlap ChooseSubtree, margin splits, forced "
@@ -115,13 +111,6 @@ int CmdIndex(int argc, char** argv) {
   if (!store.has_value()) return 1;
 
   TrajectoryIndex::Options options;
-  if (leaf_format == "v2") {
-    options.leaf_format = LeafPageFormat::kV2Soa;
-  } else if (leaf_format == "v3") {
-    options.leaf_format = LeafPageFormat::kV3Compressed;
-  } else {
-    return Fail("unknown --leaf_format (use v2 or v3)");
-  }
   if (rtree_variant == "quadratic") {
     options.rtree_variant = RTreeVariant::kQuadratic;
   } else if (rtree_variant == "rstar") {
