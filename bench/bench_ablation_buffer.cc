@@ -33,9 +33,6 @@ int Main(int argc, char** argv) {
       bench::MakeSDataset(static_cast<int>(objects));
   TBTree index;
   index.BuildFrom(store);
-  // The decoded-node cache would absorb hot-page reads before they reach the
-  // buffer, flattening the sweep this ablation is about — run without it.
-  index.node_cache().SetCapacity(0);
   const BFMstSearch searcher(&index, &store);
   const int64_t total_pages = index.NodeCount();
 

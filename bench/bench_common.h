@@ -101,8 +101,9 @@ inline std::string SDatasetName(int num_objects) {
 
 /// The indexes of the experimental study — the paper plots the 3D R-tree
 /// and the TB-tree; the STR-tree (also named in §4.5) is built alongside as
-/// this repository's extension — over one dataset, configured with the
-/// paper's buffer (10 % of index size, ≤ 1000 pages).
+/// this repository's extension — over one dataset, each with its node
+/// buffer emptied by ConfigurePaperBuffer. The figures report logical node
+/// accesses, which the buffer size does not change.
 struct IndexedDataset {
   TrajectoryStore store;
   std::unique_ptr<RTree3D> rtree;

@@ -22,6 +22,7 @@
 // The headline ratios are quadratic/R* improvement factors (> 1 means R*
 // is better); tools/check_bench_regression.py gates on them scale-aware.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -43,12 +44,15 @@ struct VariantCost {
   int64_t cold_reads = 0;
 };
 
-// Runs the query set once against `index`, starting from an empty page
-// buffer, and accumulates logical node accesses and physical page reads.
+// Runs the query set once against `index`, starting from an empty buffer of
+// the paper's size (10 % of the index, at most 1000 pages), and accumulates
+// logical node accesses and physical page reads.
 VariantCost MeasureCosts(TrajectoryIndex& index, const TrajectoryStore& store,
                          const std::vector<Trajectory>& queries,
                          const MstOptions& options) {
   index.buffer().Clear();
+  index.buffer().SetCapacity(static_cast<size_t>(
+      std::clamp<int64_t>(index.NodeCount() / 10, /*lo=*/1, /*hi=*/1000)));
   const BFMstSearch searcher(&index, &store);
   VariantCost cost;
   const int64_t reads_before = index.file().stats().physical_reads;
@@ -189,11 +193,7 @@ int Main(int argc, char** argv) {
   const TrajectoryStore store = bench::MakeSDataset(
       static_cast<int>(objects), static_cast<int>(samples));
 
-  // Node cache off for all three: the point is the tree shape, so every
-  // logical node access must hit the page layer and be counted the same way
-  // in each variant.
   TrajectoryIndex::Options quad_opt;
-  quad_opt.node_cache_nodes = 0;
   WallTimer quad_timer;
   RTree3D quad(quad_opt);
   quad.BuildFrom(store);
@@ -246,7 +246,6 @@ int Main(int argc, char** argv) {
   options.k = static_cast<int>(k);
   VariantCost costs[3];
   for (int v = 0; v < 3; ++v) {
-    indexes[v]->ConfigurePaperBuffer();
     costs[v] = MeasureCosts(*indexes[v], store, query_set, options);
   }
 
@@ -264,7 +263,7 @@ int Main(int argc, char** argv) {
 
   std::printf("== R-tree construction quality: quadratic vs R* vs STR ==\n");
   std::printf("dataset %s, %" PRId64 " queries (len %.2f, k=%" PRId64
-              "), node cache off, paper buffer\n",
+              "), paper-sized buffer\n",
               bench::SDatasetName(static_cast<int>(objects)).c_str(), queries,
               length, k);
   for (int v = 0; v < 3; ++v) {

@@ -74,8 +74,8 @@ void RunInterleaved(const TBTree& index, const TrajectoryStore& store,
   const BFMstSearch plain(&index, &store);
   const BFMstSearch cached(&index, &store, &cache);
 
-  // Warm-up with the cache off: page buffer and node cache reach steady
-  // state before anything is timed.
+  // Warm-up with the cache off: the node buffer reaches steady state before
+  // anything is timed.
   for (const Trajectory& q : queries) {
     plain.Search(q, q.Lifespan(), options);
   }

@@ -221,8 +221,7 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
   // shared counters: concurrent queries on one index each get exact
   // per-query stats.
   const int64_t accesses_before = TrajectoryIndex::ThreadNodeAccesses();
-  const int64_t cache_hits_before = NodeCache::ThreadHits();
-  const int64_t cache_misses_before = NodeCache::ThreadMisses();
+  const int64_t cache_misses_before = BufferManager::ThreadMisses();
   const int64_t rc_hits_before = ResultCache::ThreadHits();
   const int64_t rc_misses_before = ResultCache::ThreadMisses();
 
@@ -534,7 +533,7 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
       fp_ready = true;
     }
     // Read the trajectory's write version BEFORE looking up / computing
-    // (observe-then-publish, as in NodeCache): a concurrent insert for `id`
+    // (observe-then-publish): a concurrent insert for `id`
     // bumps the version, so the value published below under the old version
     // can never be served after the write. A version-owning source (live
     // ingest snapshot) is the authority; otherwise the index is — never the
@@ -587,8 +586,9 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
 
   stats.nodes_accessed =
       TrajectoryIndex::ThreadNodeAccesses() - accesses_before;
-  stats.node_cache_hits = NodeCache::ThreadHits() - cache_hits_before;
-  stats.node_cache_misses = NodeCache::ThreadMisses() - cache_misses_before;
+  stats.node_cache_misses =
+      BufferManager::ThreadMisses() - cache_misses_before;
+  stats.node_cache_hits = stats.nodes_accessed - stats.node_cache_misses;
   stats.result_cache_hits = ResultCache::ThreadHits() - rc_hits_before;
   stats.result_cache_misses = ResultCache::ThreadMisses() - rc_misses_before;
   if (stats_out != nullptr) *stats_out = stats;

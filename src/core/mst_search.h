@@ -46,8 +46,9 @@ struct MstStats {
   int64_t candidates_ineligible = 0; // lifespan does not cover the period
   int64_t eager_completions = 0;     // candidates completed via chain fetch
   int64_t exact_recomputations = 0;  // post-processing integrals
-  /// Decoded-node cache traffic of this query (hits + misses ==
-  /// nodes_accessed while the cache is enabled; both 0 when disabled).
+  /// Buffer traffic of this query: misses are the pages it read and
+  /// decoded, hits are the rest of its node accesses, so hits + misses ==
+  /// nodes_accessed by construction.
   int64_t node_cache_hits = 0;
   int64_t node_cache_misses = 0;
   /// Cross-query result-cache traffic of this query (hits + misses ==

@@ -1,5 +1,5 @@
-// Cross-query DISSIM result cache — the third caching layer, above the page
-// buffer and the decoded-node cache. BFMSTSearch's dominant cost under
+// Cross-query DISSIM result cache — the second caching layer, above the
+// buffer of decoded nodes. BFMSTSearch's dominant cost under
 // repeated traffic is the full-period DISSIM refinement of surviving
 // candidates (the §4.4 post-processing integrals); overlapping queries
 // re-integrate the same (trajectory, period) pairs from scratch. This cache
@@ -8,15 +8,14 @@
 //
 // The cache only ever replaces a ComputeDissim call with the value an
 // identical earlier call produced, so query results stay byte-identical with
-// the cache on or off, and — unlike the node cache, which sits under the
+// the cache on or off, and — unlike the node buffer, which sits under the
 // traversal — it cannot touch node-access accounting at all: the traversal
 // never consults it.
 //
 // Consistency: DISSIM(Q, T) depends on T's stored segments, so a cached
 // value goes stale when the index ingests new segments for T. The version
 // authority is the index (TrajectoryIndex::TrajectoryWriteVersion, bumped on
-// every segment insert — the same write hook that invalidates the node
-// cache); entries record the version observed *before* the refinement was
+// every segment insert); entries record the version observed *before* the refinement was
 // computed, and Lookup() rejects any entry whose recorded version differs
 // from the caller's current one. A writer racing a refinement therefore
 // cannot cause a stale serve: the refinement publishes under the old
@@ -89,7 +88,7 @@ class ResultCache {
 
   ~ResultCache();
 
-  /// Default shard count, matching the node cache's.
+  /// Default shard count, matching the node buffer's.
   static constexpr size_t kDefaultShards = 8;
 
   /// Returns true and fills `*out` when a value cached under `key` with
@@ -103,7 +102,7 @@ class ResultCache {
               DissimResult* out) const;
 
   /// Publishes a refinement computed while the trajectory's write version
-  /// was `write_version` (read before the computation — the NodeCache
+  /// was `write_version` (read before the computation — the
   /// observe-then-publish discipline). Overwrites any resident entry for
   /// `key`. No-op while disabled.
   void Insert(const ResultCacheKey& key, const DissimResult& value,
@@ -143,7 +142,7 @@ class ResultCache {
 
   /// Monotonic per-thread hit/miss tallies across all result caches, for
   /// exact per-query deltas under concurrent queries (cf.
-  /// NodeCache::ThreadHits).
+  /// BufferManager::ThreadMisses).
   static int64_t ThreadHits();
   static int64_t ThreadMisses();
 

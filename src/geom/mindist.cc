@@ -25,6 +25,16 @@ struct TauList {
   double v[6];
   int n = 0;
   void push(double tau) { v[n++] = tau; }
+  // Insertion sort of v[0..n): at most six values, and unlike std::sort over
+  // the fixed array it gives g++ no out-of-bounds path to warn about.
+  void sort() {
+    for (int i = 1; i < n; ++i) {
+      const double tau = v[i];
+      int j = i;
+      for (; j > 0 && v[j - 1] > tau; --j) v[j] = v[j - 1];
+      v[j] = tau;
+    }
+  }
 };
 
 // Adds the local times in (0, dur) at which the linear motion v0→v1 crosses
@@ -80,7 +90,7 @@ double MovingPointRectMinDistance(Vec2 q0, Vec2 q1, double dur, double xlo,
   AddCrossing(q0.x, q1.x, dur, xhi, &taus);
   AddCrossing(q0.y, q1.y, dur, ylo, &taus);
   AddCrossing(q0.y, q1.y, dur, yhi, &taus);
-  std::sort(taus.v, taus.v + taus.n);
+  taus.sort();
 
   auto position = [&](double tau) -> Vec2 {
     return q0 + (q1 - q0) * (tau / dur);

@@ -13,21 +13,19 @@ namespace internal {
 
 struct BufferFrame {
   PageId id = kInvalidPageId;
-  Page page;
+  NodeRef node;
+  size_t bytes = 0;  // PlainNodeBytes(*node), for resident_bytes()
   bool dirty = false;
-  int pins = 0;        // total outstanding guards
-  int write_pins = 0;  // guards from PinMutable (Flush skips these frames)
 };
 
 struct BufferShard {
   mutable std::mutex mu;
-  // front = most recently used. std::list keeps frame addresses stable while
-  // guards hold BufferFrame pointers across splices.
+  // front = most recently used.
   std::list<BufferFrame> lru;
   // Direct-indexed page table: pages map to shards by id % shard_count, so
   // the per-shard slot id / shard_count is dense. Empty slots hold
   // lru.end(). Page ids are small dense integers, so this replaces a hash
-  // lookup per pin — the hottest buffer operation — with an array index.
+  // lookup per read — the hottest buffer operation — with an array index.
   std::vector<std::list<BufferFrame>::iterator> index;
   size_t capacity = 0;  // frames this shard may keep resident
 
@@ -43,45 +41,31 @@ struct BufferShard {
 using internal::BufferFrame;
 using internal::BufferShard;
 
-PageGuard::PageGuard(PageGuard&& other) noexcept
-    : owner_(other.owner_),
-      shard_(other.shard_),
-      frame_(other.frame_),
-      page_(other.page_),
-      id_(other.id_),
-      writable_(other.writable_) {
-  other.owner_ = nullptr;
-  other.shard_ = nullptr;
-  other.frame_ = nullptr;
-  other.page_ = nullptr;
-  other.id_ = kInvalidPageId;
-  other.writable_ = false;
+namespace {
+
+// Per-thread tally backing ThreadMisses().
+thread_local int64_t tls_misses = 0;
+
+void WriteBack(PageFile* file, BufferFrame* frame) {
+  Page page;
+  frame->node->EncodeTo(&page);
+  file->Write(frame->id, page);
+  frame->dirty = false;
 }
 
-PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
-  if (this != &other) {
-    Release();
-    owner_ = std::exchange(other.owner_, nullptr);
-    shard_ = std::exchange(other.shard_, nullptr);
-    frame_ = std::exchange(other.frame_, nullptr);
-    page_ = std::exchange(other.page_, nullptr);
-    id_ = std::exchange(other.id_, kInvalidPageId);
-    writable_ = std::exchange(other.writable_, false);
+}  // namespace
+
+int64_t BufferManager::ThreadMisses() { return tls_misses; }
+
+size_t BufferManager::PlainNodeBytes(const IndexNode& node) {
+  size_t bytes = sizeof(IndexNode);
+  if (node.IsLeaf()) {
+    // A column block exists whenever any entry was ever decoded/added.
+    if (node.leaves.View().t0 != nullptr) bytes += sizeof(LeafBlock);
+  } else {
+    bytes += node.internals.capacity() * sizeof(InternalEntry);
   }
-  return *this;
-}
-
-PageGuard::~PageGuard() { Release(); }
-
-void PageGuard::Release() {
-  if (frame_ == nullptr) return;
-  owner_->Unpin(shard_, frame_, writable_);
-  owner_ = nullptr;
-  shard_ = nullptr;
-  frame_ = nullptr;
-  page_ = nullptr;
-  id_ = kInvalidPageId;
-  writable_ = false;
+  return bytes;
 }
 
 BufferManager::BufferManager(PageFile* file, size_t capacity_pages,
@@ -116,110 +100,68 @@ void BufferManager::AssignShardCapacities() {
 }
 
 void BufferManager::EvictLocked(BufferShard& shard) {
-  // Scan from the LRU end, skipping pinned frames and never touching the
-  // MRU frame (the one the caller just inserted or pinned). If everything
-  // else is pinned the shard temporarily exceeds its frame count — pins are
-  // short-lived.
-  auto it = shard.lru.end();
-  while (shard.lru.size() > shard.capacity && it != shard.lru.begin()) {
-    const auto candidate = std::prev(it);
-    if (candidate == shard.lru.begin()) break;
-    if (candidate->pins > 0) {
-      it = candidate;
-      continue;
-    }
-    if (candidate->dirty) {
-      file_->Write(candidate->id, candidate->page);
-    }
-    *shard.Slot(candidate->id, shards_.size()) = shard.lru.end();
-    it = shard.lru.erase(candidate);
+  // Every shard keeps at least one frame, so the MRU frame the caller just
+  // installed or touched is never the victim.
+  while (shard.lru.size() > shard.capacity) {
+    BufferFrame& victim = shard.lru.back();
+    if (victim.dirty) WriteBack(file_, &victim);
+    *shard.Slot(victim.id, shards_.size()) = shard.lru.end();
+    shard.lru.pop_back();
   }
 }
 
-PageGuard BufferManager::PinImpl(PageId id, bool writable,
-                                 bool load_from_disk) {
+NodeRef BufferManager::Read(PageId id) {
   BufferShard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
   logical_reads_.fetch_add(1, std::memory_order_relaxed);
 
-  const size_t slot = static_cast<size_t>(id) / shards_.size();
-  const auto resident = slot < shard.index.size() ? shard.index[slot]
-                                                  : shard.lru.end();
-  if (resident == shard.lru.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    shard.lru.emplace_front();
-    BufferFrame& inserted = shard.lru.front();
-    inserted.id = id;
-    if (load_from_disk) {
-      // The read happens under the shard lock: the backing PageFile is an
-      // in-memory array, so holding the lock across the "I/O" is cheap and
-      // spares a racy frame-under-construction state.
-      file_->Read(id, &inserted.page);
-    }
-    *shard.Slot(id, shards_.size()) = shard.lru.begin();
-  } else {
-    shard.lru.splice(shard.lru.begin(), shard.lru, resident);
+  auto* slot = shard.Slot(id, shards_.size());
+  if (*slot != shard.lru.end()) {
+    shard.lru.splice(shard.lru.begin(), shard.lru, *slot);
+    return shard.lru.front().node;
   }
-
-  // Pin before evicting so the eviction scan can never reclaim this frame,
-  // even when every other frame in the shard is pinned by other threads.
-  BufferFrame& frame = shard.lru.front();
-  ++frame.pins;
-  if (writable) {
-    frame.dirty = true;
-    ++frame.write_pins;
-  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++tls_misses;
+  // The read and the decode happen under the shard lock: the backing
+  // PageFile is an in-memory array, and a write to this page, which takes
+  // the same lock, cannot interleave with them.
+  Page page;
+  file_->Read(id, &page);
+  NodeRef node = std::make_shared<const IndexNode>(IndexNode::Decode(page, id));
+  const size_t bytes = PlainNodeBytes(*node);
+  shard.lru.push_front({id, node, bytes, /*dirty=*/false});
+  *slot = shard.lru.begin();
   EvictLocked(shard);
-  return PageGuard(this, &shard, &frame, &frame.page, id, writable);
+  return node;
 }
 
-PageGuard BufferManager::Pin(PageId id) {
-  return PinImpl(id, /*writable=*/false, /*load_from_disk=*/true);
-}
+void BufferManager::Write(IndexNode node) {
+  const PageId id = node.self;
+  MST_DCHECK(id != kInvalidPageId);
+  NodeRef ref = std::make_shared<const IndexNode>(std::move(node));
+  const size_t bytes = PlainNodeBytes(*ref);
 
-PageGuard BufferManager::PinMutable(PageId id) {
-  return PinImpl(id, /*writable=*/true, /*load_from_disk=*/true);
-}
-
-void BufferManager::Unpin(BufferShard* shard, BufferFrame* frame,
-                          bool writable) {
-  std::lock_guard<std::mutex> lock(shard->mu);
-  MST_DCHECK(frame->pins > 0);
-  --frame->pins;
-  if (writable) {
-    MST_DCHECK(frame->write_pins > 0);
-    --frame->write_pins;
-  }
-  // An over-full shard (every frame was pinned when it grew) shrinks back
-  // as soon as pins drain.
-  if (frame->pins == 0) EvictLocked(*shard);
-}
-
-PageId BufferManager::AllocatePage() {
-  const PageId id = file_->Allocate();
   BufferShard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  // Fresh page: resident dirty frame, no disk read needed. Counts a miss but
-  // no logical read — allocation is cache management, not a page access
-  // (same accounting as before the pin API).
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  shard.lru.emplace_front();
-  BufferFrame& frame = shard.lru.front();
-  frame.id = id;
-  frame.dirty = true;
-  *shard.Slot(id, shards_.size()) = shard.lru.begin();
+  auto* slot = shard.Slot(id, shards_.size());
+  if (*slot != shard.lru.end()) {
+    shard.lru.splice(shard.lru.begin(), shard.lru, *slot);
+    BufferFrame& frame = shard.lru.front();
+    frame.node = std::move(ref);
+    frame.bytes = bytes;
+    frame.dirty = true;
+    return;
+  }
+  shard.lru.push_front({id, std::move(ref), bytes, /*dirty=*/true});
+  *slot = shard.lru.begin();
   EvictLocked(shard);
-  return id;
 }
 
 void BufferManager::Flush() {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (BufferFrame& frame : shard->lru) {
-      if (frame.dirty && frame.write_pins == 0) {
-        file_->Write(frame.id, frame.page);
-        frame.dirty = false;
-      }
+      if (frame.dirty) WriteBack(file_, &frame);
     }
   }
 }
@@ -227,18 +169,11 @@ void BufferManager::Flush() {
 void BufferManager::Clear() {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->dirty && it->write_pins == 0) {
-        file_->Write(it->id, it->page);
-        it->dirty = false;
-      }
-      if (it->pins == 0) {
-        *shard->Slot(it->id, shards_.size()) = shard->lru.end();
-        it = shard->lru.erase(it);
-      } else {
-        ++it;
-      }
+    for (BufferFrame& frame : shard->lru) {
+      if (frame.dirty) WriteBack(file_, &frame);
     }
+    shard->lru.clear();
+    shard->index.clear();
   }
 }
 
@@ -252,17 +187,6 @@ void BufferManager::SetCapacity(size_t capacity_pages) {
   }
 }
 
-int64_t BufferManager::pinned_frames() const {
-  int64_t pinned = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const BufferFrame& frame : shard->lru) {
-      if (frame.pins > 0) ++pinned;
-    }
-  }
-  return pinned;
-}
-
 size_t BufferManager::resident_frames() const {
   size_t resident = 0;
   for (const auto& shard : shards_) {
@@ -270,6 +194,15 @@ size_t BufferManager::resident_frames() const {
     resident += shard->lru.size();
   }
   return resident;
+}
+
+size_t BufferManager::resident_bytes() const {
+  size_t bytes = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    for (const BufferFrame& frame : shard->lru) bytes += frame.bytes;
+  }
+  return bytes;
 }
 
 }  // namespace mst

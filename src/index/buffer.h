@@ -1,15 +1,19 @@
-// Write-back LRU buffer manager in front of a PageFile. The experiments run
-// with a buffer sized at 10 % of the index, capped at 1000 pages (§5): a
-// buffer of `capacity()` pages keeps at most `capacity()` unpinned frames
-// resident, one 4 KB page each.
+// Write-back LRU buffer of decoded index nodes in front of a PageFile: the
+// one cache between the search and the disk. The paper's experiments (§5)
+// put a page-count LRU buffer there; this one counts capacity in pages too,
+// one decoded node per page, so a hit hands the search the node itself and
+// only a miss reads and decodes a 4 KB page.
 //
 // Concurrency model: the frame table is split into shards, each with its own
-// mutex and LRU list, so concurrent queries pin pages mostly without
-// contending. Callers access pages exclusively through reference-counted
-// PageGuard pins — a frame is never evicted, written back, or dropped while
-// a guard holds it. The logical-read and miss counters are atomics whose
-// totals aggregate exactly under any interleaving, which keeps the paper's
-// I/O-counter experiments meaningful when queries run in parallel.
+// mutex and LRU list, so concurrent queries mostly touch different locks.
+// Frames hold immutable `NodeRef`s; a caller holding one is its pin, because
+// eviction only drops the buffer's reference. A miss reads and decodes the
+// page under its shard mutex, and a write swaps the frame's node under the
+// same mutex, so a reader sees either the old node or the new one, never a
+// decode of half-written bytes. The logical-read and miss counters are
+// atomics whose totals aggregate exactly under any interleaving, which keeps
+// the paper's I/O-counter experiments meaningful when queries run in
+// parallel.
 
 #ifndef MST_INDEX_BUFFER_H_
 #define MST_INDEX_BUFFER_H_
@@ -19,82 +23,21 @@
 #include <memory>
 #include <vector>
 
+#include "src/index/node.h"
 #include "src/index/pagefile.h"
 
 namespace mst {
 
-class BufferManager;
-
 namespace internal {
-struct BufferFrame;
 struct BufferShard;
 }  // namespace internal
 
-/// RAII pin on one buffered page. While a guard is alive its frame stays
-/// resident and its Page pointer stays valid; destruction (or Release())
-/// unpins the frame. Guards from Pin() expose read-only bytes; guards from
-/// PinMutable() additionally allow mutable_page() and mark the frame dirty.
-/// Move-only. A guard must not outlive its BufferManager.
-class PageGuard {
- public:
-  PageGuard() = default;
-  PageGuard(PageGuard&& other) noexcept;
-  PageGuard& operator=(PageGuard&& other) noexcept;
-  PageGuard(const PageGuard&) = delete;
-  PageGuard& operator=(const PageGuard&) = delete;
-  ~PageGuard();
-
-  bool valid() const { return frame_ != nullptr; }
-
-  /// Page id this guard pins (kInvalidPageId for an empty guard).
-  PageId id() const { return id_; }
-
-  const Page& operator*() const {
-    MST_DCHECK(page_ != nullptr);
-    return *page_;
-  }
-  const Page* operator->() const {
-    MST_DCHECK(page_ != nullptr);
-    return page_;
-  }
-  const Page* page() const { return page_; }
-
-  /// Mutable byte access; only legal on guards obtained via PinMutable.
-  Page* mutable_page() {
-    MST_CHECK_MSG(writable_, "mutable access through a read-only PageGuard");
-    return page_;
-  }
-
-  /// Drops the pin early (idempotent).
-  void Release();
-
- private:
-  friend class BufferManager;
-  PageGuard(BufferManager* owner, internal::BufferShard* shard,
-            internal::BufferFrame* frame, Page* page, PageId id,
-            bool writable)
-      : owner_(owner),
-        shard_(shard),
-        frame_(frame),
-        page_(page),
-        id_(id),
-        writable_(writable) {}
-
-  BufferManager* owner_ = nullptr;
-  internal::BufferShard* shard_ = nullptr;
-  internal::BufferFrame* frame_ = nullptr;
-  Page* page_ = nullptr;
-  PageId id_ = kInvalidPageId;
-  bool writable_ = false;
-};
-
-/// Sharded LRU page cache with reference-counted pins.
+/// Sharded LRU cache of decoded nodes keyed by PageId.
 ///
 /// Pages map to shards by `id % shard_count`; each shard holds
-/// `capacity / shard_count` frames (±1) and evicts independently, LRU-first,
-/// skipping pinned frames. When every frame of a shard is pinned the shard
-/// grows past its frame count instead of failing — pins are short-lived, so
-/// the overshoot is transient.
+/// `capacity / shard_count` frames (±1, min 1) and evicts independently,
+/// LRU-first. A dirty frame is encoded to the PageFile once: when it is
+/// evicted, on Flush(), or on Clear().
 class BufferManager {
  public:
   /// `capacity_pages` must be >= 1. The buffer does not own `file`.
@@ -105,35 +48,31 @@ class BufferManager {
   BufferManager(const BufferManager&) = delete;
   BufferManager& operator=(const BufferManager&) = delete;
 
+  /// Flushes every dirty frame.
   ~BufferManager();
 
   /// Default shard count for index buffers.
   static constexpr size_t kDefaultShards = 8;
 
-  /// Pins page `id` read-only, faulting it in on a miss. Counts one logical
-  /// read; a miss additionally counts one physical read.
-  PageGuard Pin(PageId id);
+  /// Returns page `id`'s decoded node. Counts one logical read; a miss also
+  /// counts one miss (globally and in ThreadMisses()), reads the page from
+  /// the PageFile, decodes it, installs it and evicts LRU-first.
+  NodeRef Read(PageId id);
 
-  /// Pins page `id` for writing and marks the frame dirty; the page reaches
-  /// the PageFile when evicted or on Flush().
-  PageGuard PinMutable(PageId id);
+  /// Installs `node` as the dirty frame of page `node.self` (allocated in
+  /// the PageFile), replacing any resident node. Readers that already hold
+  /// the old node keep it.
+  void Write(IndexNode node);
 
-  /// Allocates a fresh page in the underlying file and returns its id with a
-  /// zeroed, dirty, unpinned frame already resident.
-  PageId AllocatePage();
-
-  /// Writes back every dirty frame without a write pin (does not drop any
-  /// frame from the cache).
+  /// Encodes every dirty frame to the PageFile; keeps all frames resident.
   void Flush();
 
-  /// Drops all unpinned frames after flushing. Used between experiment
-  /// phases so each query sequence starts against a cold or warm cache
-  /// deliberately. Pinned frames stay resident.
+  /// Flushes, then drops every frame. Used between experiment phases so a
+  /// query sequence starts against a cold cache deliberately.
   void Clear();
 
-  /// Resizes the cache capacity, evicting LRU frames if shrinking. The shard
-  /// count is fixed at construction, so the effective floor is one page per
-  /// shard.
+  /// Resizes the cache, evicting LRU frames if shrinking. The shard count is
+  /// fixed at construction, so the effective floor is one page per shard.
   void SetCapacity(size_t capacity_pages);
 
   size_t capacity() const { return capacity_; }
@@ -144,7 +83,8 @@ class BufferManager {
     return logical_reads_.load(std::memory_order_relaxed);
   }
 
-  /// Buffer misses since construction or ResetCounters().
+  /// Buffer misses (physical page reads) since construction or
+  /// ResetCounters().
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
   void ResetCounters() {
@@ -152,26 +92,26 @@ class BufferManager {
     misses_.store(0, std::memory_order_relaxed);
   }
 
-  /// Frames currently pinned by outstanding guards (diagnostics/tests).
-  int64_t pinned_frames() const;
-
   /// Frames currently resident across all shards.
   size_t resident_frames() const;
 
- private:
-  friend class PageGuard;
+  /// Summed PlainNodeBytes of the resident frames.
+  size_t resident_bytes() const;
 
+  /// Resident bytes of a decoded node: the IndexNode shell plus its column
+  /// block or internal-entry array.
+  static size_t PlainNodeBytes(const IndexNode& node);
+
+  /// Monotonic per-thread miss tally across all buffers. A query runs on one
+  /// thread, so a before/after delta is exactly its own misses even while
+  /// other threads read the same buffer.
+  static int64_t ThreadMisses();
+
+ private:
   internal::BufferShard& ShardFor(PageId id) const;
 
-  // Pin implementation shared by Pin/PinMutable.
-  PageGuard PinImpl(PageId id, bool writable, bool load_from_disk);
-
-  // Called by guards; locks the frame's shard and decrements pin counts.
-  void Unpin(internal::BufferShard* shard, internal::BufferFrame* frame,
-             bool writable);
-
-  // Evicts unpinned LRU frames until the shard is back within its frame
-  // count. Caller holds the shard mutex.
+  // Evicts LRU frames until the shard is back within its frame count,
+  // writing dirty ones back. Caller holds the shard mutex.
   void EvictLocked(internal::BufferShard& shard);
 
   // Distributes capacity_ frames over the shards (±1, min 1 each).

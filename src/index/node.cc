@@ -37,8 +37,8 @@ static_assert(sizeof(Mbb3) == 48, "v2 header embeds the MBB verbatim");
 static_assert(kV2OffBounds + sizeof(Mbb3) == kLeafHeaderV2Size);
 
 // Per-thread freelist of recycled column blocks. Leaf decode allocates one
-// 4 KB block per read; with the node cache disabled that is an allocator
-// round trip per node access, which shows up in the k-MST hot path.
+// 4 KB block per buffer miss; on a small buffer that is an allocator round
+// trip per node access, which shows up in the k-MST hot path.
 // Donated blocks hold arbitrary bytes — consumers either overwrite the
 // whole block (AssignFromSoa, copy) or re-zero it (EnsureBlock). The list
 // is thread-local, so no synchronization; the cap bounds each thread at
@@ -64,6 +64,20 @@ void RecycleBlock(std::unique_ptr<LeafBlock> b) {
 }  // namespace
 
 LeafColumns::~LeafColumns() { RecycleBlock(std::move(block_)); }
+
+LeafColumns& LeafColumns::operator=(const LeafColumns& o) {
+  if (this == &o) return *this;
+  if (o.block_ == nullptr) {
+    RecycleBlock(std::move(block_));
+  } else {
+    if (block_ == nullptr) block_ = AcquireBlock();
+    std::memcpy(block_.get(), o.block_.get(), sizeof(LeafBlock));
+  }
+  count_ = o.count_;
+  sorted_ = o.sorted_;
+  mbb_ = o.mbb_;
+  return *this;
+}
 
 void LeafColumns::EnsureBlock() {
   if (block_ != nullptr) return;
@@ -100,7 +114,7 @@ void LeafColumns::AssignFromSoa(const uint8_t* src, int count,
                                 bool time_sorted, const Mbb3& bounds) {
   // No EnsureBlock here: the full-block copy overwrites every byte anyway
   // (v2 pages carry the zero tail), so a recycled block needs no re-zeroing
-  // — this is the decode hot path with the node cache disabled.
+  // — this is the decode path of every buffer miss.
   if (block_ == nullptr) block_ = AcquireBlock();
   std::memcpy(block_.get(), src, sizeof(LeafBlock));
   count_ = count;

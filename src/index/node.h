@@ -155,14 +155,9 @@ class LeafColumns {
   LeafColumns(LeafColumns&&) noexcept = default;
   LeafColumns& operator=(LeafColumns&&) noexcept = default;
   LeafColumns(const LeafColumns& o) { *this = o; }
-  LeafColumns& operator=(const LeafColumns& o) {
-    if (this == &o) return *this;
-    block_ = o.block_ ? std::make_unique<LeafBlock>(*o.block_) : nullptr;
-    count_ = o.count_;
-    sorted_ = o.sorted_;
-    mbb_ = o.mbb_;
-    return *this;
-  }
+  /// Copies the column block into one taken from the freelist: the build
+  /// paths copy a buffered node for every modification.
+  LeafColumns& operator=(const LeafColumns& o);
   LeafColumns& operator=(const std::vector<LeafEntry>& entries) {
     assign(entries.begin(), entries.end());
     return *this;
@@ -327,10 +322,10 @@ struct IndexNode {
 };
 
 /// Shared handle to an immutable decoded node, as returned by
-/// TrajectoryIndex::ReadNode and held by the decoded-node cache. The
-/// columnar leaf storage travels with it, so cache hits hand hot loops the
-/// columns directly. Stays valid for as long as the caller keeps the
-/// reference, independent of buffer eviction or cache invalidation.
+/// TrajectoryIndex::ReadNode and held by the buffer's frames. The columnar
+/// leaf storage travels with it, so buffer hits hand hot loops the columns
+/// directly. Holding one is the pin: it stays valid for as long as the
+/// caller keeps the reference, independent of eviction or later writes.
 using NodeRef = std::shared_ptr<const IndexNode>;
 
 /// Structural validation of an untrusted page (index file loads): a known

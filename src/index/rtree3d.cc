@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "src/util/check.h"
 
@@ -378,8 +379,8 @@ void RTree3D::BulkLoad(std::vector<LeafEntry> entries) {
         entries.begin() + static_cast<ptrdiff_t>(i),
         entries.begin() +
             static_cast<ptrdiff_t>(std::min(entries.size(), i + cap)));
-    WriteNode(leaf);
     level_items.push_back({leaf.Bounds(), leaf.self, 0});
+    WriteNode(std::move(leaf));
   }
 
   // Pack upper levels until a single node remains.
@@ -396,8 +397,8 @@ void RTree3D::BulkLoad(std::vector<LeafEntry> entries) {
           level_items.begin() + static_cast<ptrdiff_t>(i),
           level_items.begin() +
               static_cast<ptrdiff_t>(std::min(level_items.size(), i + cap)));
-      WriteNode(node);
       next.push_back({node.Bounds(), node.self, 0});
+      WriteNode(std::move(node));
     }
     level_items = std::move(next);
     ++level;

@@ -1,6 +1,7 @@
 #include "src/index/tbtree.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/check.h"
 
@@ -96,7 +97,7 @@ void TBTree::Insert(const LeafEntry& entry) {
     IndexNode tail = ReadNodeForUpdate(chain.tail);
     if (!tail.IsFull()) {
       tail.leaves.push_back(entry);
-      WriteNode(tail);
+      WriteNode(std::move(tail));
       ExpandAncestors(chain.tail, box);
       return;
     }
@@ -113,7 +114,7 @@ void TBTree::Insert(const LeafEntry& entry) {
   if (chain.tail != kInvalidPageId) {
     IndexNode old_tail = ReadNodeForUpdate(chain.tail);
     old_tail.next_leaf = leaf.self;
-    WriteNode(old_tail);
+    WriteNode(std::move(old_tail));
   } else {
     chain.head = leaf.self;
   }

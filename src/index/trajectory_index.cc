@@ -1,6 +1,7 @@
 #include "src/index/trajectory_index.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/util/check.h"
@@ -19,8 +20,7 @@ int64_t TrajectoryIndex::ThreadNodeAccesses() { return tls_node_accesses; }
 
 TrajectoryIndex::TrajectoryIndex(const Options& options)
     : file_(),
-      buffer_(&file_, options.build_buffer_pages),
-      node_cache_(options.node_cache_nodes) {}
+      buffer_(&file_, options.cache_pages) {}
 
 TrajectoryIndex::~TrajectoryIndex() = default;
 
@@ -55,40 +55,27 @@ void TrajectoryIndex::BuildFrom(const TrajectoryStore& store) {
 
 NodeRef TrajectoryIndex::ReadNode(PageId id) const {
   // Count the logical access unconditionally: Table-2/Fig-10 node-access
-  // numbers must be byte-identical whether the node cache is on or off.
+  // numbers must be byte-identical at every buffer capacity.
   node_accesses_.fetch_add(1, std::memory_order_relaxed);
   ++tls_node_accesses;
-  uint64_t version = 0;
-  if (NodeRef cached = node_cache_.Lookup(id, &version)) return cached;
-  const PageGuard guard = buffer_.Pin(id);
-  NodeRef node = std::make_shared<const IndexNode>(IndexNode::Decode(*guard, id));
-  node_cache_.Insert(id, node, version);
-  return node;
+  return buffer_.Read(id);
 }
 
 IndexNode TrajectoryIndex::ReadNodeForUpdate(PageId id) {
-  const PageGuard guard = buffer_.Pin(id);
-  return IndexNode::Decode(*guard, id);
+  return *buffer_.Read(id);
 }
 
-void TrajectoryIndex::WriteNode(const IndexNode& node) {
+void TrajectoryIndex::WriteNode(IndexNode node) {
   MST_DCHECK(node.self != kInvalidPageId);
-  {
-    PageGuard guard = buffer_.PinMutable(node.self);
-    node.EncodeTo(guard.mutable_page());
-  }
-  // Bump the page version after the bytes change: a concurrent decode of
-  // the old bytes observed the old version and will fail to publish.
-  node_cache_.Invalidate(node.self);
+  buffer_.Write(std::move(node));
 }
 
-PageId TrajectoryIndex::AllocateNode() { return buffer_.AllocatePage(); }
+PageId TrajectoryIndex::AllocateNode() { return file_.Allocate(); }
 
 void TrajectoryIndex::ExpandAncestorsViaParents(PageId node_id,
                                                 const Mbb3& box) {
-  IndexNode node = ReadNodeForUpdate(node_id);
   PageId cur = node_id;
-  PageId parent_id = node.parent;
+  PageId parent_id = buffer_.Read(node_id)->parent;
   while (parent_id != kInvalidPageId) {
     IndexNode parent = ReadNodeForUpdate(parent_id);
     bool found = false;
@@ -100,9 +87,9 @@ void TrajectoryIndex::ExpandAncestorsViaParents(PageId node_id,
       }
     }
     MST_CHECK_MSG(found, "broken parent pointer");
-    WriteNode(parent);
     cur = parent_id;
     parent_id = parent.parent;
+    WriteNode(std::move(parent));
   }
 }
 
@@ -122,21 +109,13 @@ void TrajectoryIndex::NoteInsert(const LeafEntry& entry) {
   ++entry_count_;
   max_speed_ = std::max(max_speed_, entry.Speed());
   // Bump the trajectory's write version so cross-query cached DISSIM values
-  // for it can never be served again (cf. WriteNode → NodeCache::Invalidate
-  // for pages).
+  // for it can never be served again.
   TrajectoryVersionShard& shard = VersionShardFor(entry.traj_id);
   std::lock_guard<std::mutex> lock(shard.mu);
   ++shard.versions[entry.traj_id];
 }
 
-void TrajectoryIndex::ConfigurePaperBuffer() {
-  const int64_t pages = NodeCount();
-  const int64_t target =
-      std::clamp<int64_t>(pages / 10, /*lo=*/1, /*hi=*/1000);
-  buffer_.Clear();
-  buffer_.SetCapacity(static_cast<size_t>(target));
-  node_cache_.Clear();
-}
+void TrajectoryIndex::ConfigurePaperBuffer() { buffer_.Clear(); }
 
 void TrajectoryIndex::CheckSubtree(PageId id, int expected_level,
                                    const Mbb3* parent_box,

@@ -17,7 +17,6 @@
 #include "src/geom/trajectory.h"
 #include "src/index/buffer.h"
 #include "src/index/node.h"
-#include "src/index/node_cache.h"
 #include "src/index/pagefile.h"
 
 namespace mst {
@@ -42,17 +41,14 @@ enum class RTreeVariant : uint8_t {
 /// segment, exactly as in the paper's setup.
 class TrajectoryIndex {
  public:
-  /// Construction-time knobs. `build_buffer_pages` is the cache used while
-  /// building; ConfigurePaperBuffer() later shrinks it to the experiment
-  /// setting (10 % of the index, max 1000 pages).
-  /// `node_cache_nodes` sizes the decoded-node cache above the page buffer
-  /// (0 disables it; it is an engineering layer, not part of the paper's I/O
-  /// model — logical node accesses are counted identically with it on or
-  /// off). Leaves are always written as v2 pages and internal nodes as v1
-  /// pages (see node.h).
+  /// Construction-time knobs. `cache_pages` sizes the one page-count LRU
+  /// buffer of decoded nodes between ReadNode and the page file, for builds
+  /// and queries alike (see buffer.h). It is an engineering knob, not part
+  /// of the paper's I/O model: logical node accesses are counted
+  /// identically at every capacity. Leaves are always written as v2 pages
+  /// and internal nodes as v1 pages (see node.h).
   struct Options {
-    size_t build_buffer_pages = 4096;
-    size_t node_cache_nodes = 4096;
+    size_t cache_pages = 4096;
     /// Incremental-insert policy of the 3D R-tree (see RTreeVariant). Tree
     /// shape only: page formats, bulk loading (always STR), and exact k-MST
     /// results are unaffected by this knob.
@@ -108,10 +104,9 @@ class TrajectoryIndex {
   int height() const { return height_; }
 
   /// Reads a node, counting one node access (always — cache hits included,
-  /// so logical access counts are independent of caching). Served from the
-  /// decoded-node cache when possible, else decoded through the page buffer
-  /// and published to the cache. The returned node is immutable and shared;
-  /// callers needing to modify entries must copy them.
+  /// so logical access counts are independent of caching), then asks the
+  /// buffer, which decodes the page on a miss. The returned node is
+  /// immutable and shared; callers needing to modify entries must copy them.
   NodeRef ReadNode(PageId id) const;
 
   /// Number of nodes (== allocated pages).
@@ -136,19 +131,16 @@ class TrajectoryIndex {
   }
 
   /// Resets the logical node-access counter together with the buffer's
-  /// logical-read/miss counters and the node cache's hit/miss/invalidation
-  /// counters, so a reset-then-measure experiment reads every layer from
-  /// zero (see EXPERIMENTS.md).
+  /// logical-read/miss counters, so a reset-then-measure experiment reads
+  /// every layer from zero (see EXPERIMENTS.md).
   void ResetAccessCounters() const {
     node_accesses_.store(0, std::memory_order_relaxed);
     buffer_.ResetCounters();
-    node_cache_.ResetCounters();
   }
 
   /// Current write version of trajectory `id`'s indexed segments, bumped on
-  /// every segment insert for that trajectory (the same write hook that
-  /// invalidates the node cache) — the version authority behind the
-  /// cross-query result cache's invalidation (src/core/result_cache.h).
+  /// every segment insert for that trajectory — the version authority behind
+  /// the cross-query result cache's invalidation (src/core/result_cache.h).
   /// A DISSIM value refined against `id` is valid exactly as long as this
   /// version is unchanged. Never-written ids report 0. Thread-safe.
   uint64_t TrajectoryWriteVersion(TrajectoryId id) const;
@@ -159,14 +151,19 @@ class TrajectoryIndex {
   /// queries run in parallel on a shared index.
   static int64_t ThreadNodeAccesses();
 
-  /// Shrinks the buffer to the paper's experiment setting — 10 % of the index
-  /// size with a 1000-page cap — and drops cached frames and cached decoded
-  /// nodes (both caching layers restart cold).
+  /// Drops every cached node (after writing dirty ones back) so the next
+  /// query starts cold. The capacity stays `Options::cache_pages`: the
+  /// paper sizes its buffer at 10 % of the index, max 1000 pages, but on
+  /// this engine that rule measured 12–18 % slower p50 on the sharded
+  /// service path and no faster on a single index (DESIGN.md §3d). The
+  /// buffer-size experiment itself is ablation A4, which sets each capacity
+  /// explicitly.
   void ConfigurePaperBuffer();
 
   BufferManager& buffer() const { return buffer_; }
-  NodeCache& node_cache() const { return node_cache_; }
-  PageFile& file() { return file_; }
+  /// Same object as buffer(), under the name the benchmark harness uses.
+  BufferManager& node_cache() const { return buffer_; }
+  PageFile& file() const { return file_; }
 
   /// Structural invariant check (MBB containment, counts, parent links where
   /// maintained). Aborts on violation; O(nodes). For tests.
@@ -175,11 +172,13 @@ class TrajectoryIndex {
  protected:
   explicit TrajectoryIndex(const Options& options);
 
-  /// Decodes a node for modification; changes must be stored via WriteNode.
+  /// Copies a node for modification; changes must be stored via WriteNode.
   IndexNode ReadNodeForUpdate(PageId id);
 
-  /// Serializes `node` into its page (marks the frame dirty).
-  void WriteNode(const IndexNode& node);
+  /// Installs `node` as its page's dirty buffer frame; it is encoded to the
+  /// page file when evicted or flushed. Pass an rvalue when the caller is
+  /// done with the node, to spare a copy.
+  void WriteNode(IndexNode node);
 
   /// Expands ancestor routing MBBs by `box`, starting from `node`'s entry in
   /// its parent and following parent pointers to the root. Only valid for
@@ -220,7 +219,6 @@ class TrajectoryIndex {
 
   mutable PageFile file_;
   mutable BufferManager buffer_;
-  mutable NodeCache node_cache_;
   PageId root_ = kInvalidPageId;
   int height_ = 0;
   int64_t entry_count_ = 0;

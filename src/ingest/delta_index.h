@@ -20,8 +20,8 @@ namespace mst {
 
 class DeltaIndex {
  public:
-  /// `options` configures each snapshot tree (page budget, node cache —
-  /// the delta serves the same read path as the main tree).
+  /// `options` configures each snapshot tree (buffer pages — the delta
+  /// serves the same read path as the main tree).
   explicit DeltaIndex(const TrajectoryIndex::Options& options)
       : options_(options) {}
 

@@ -45,12 +45,7 @@ class LoadedIndex : public TrajectoryIndex {
   std::string name() const override { return name_; }
 
   void Restore(const Header& header, const std::vector<Page>& pages) {
-    for (const Page& page : pages) {
-      const PageId id = buffer().AllocatePage();
-      PageGuard guard = buffer().PinMutable(id);
-      *guard.mutable_page() = page;
-    }
-    buffer().Flush();
+    for (const Page& page : pages) file().Write(file().Allocate(), page);
     set_root(header.root);
     set_height(header.height);
     RestoreStats(header.entry_count, header.max_speed);
@@ -65,7 +60,7 @@ void SetError(std::string* error, const std::string& message) {
 }
 
 // Walks the tree from the root over pages that already passed
-// ValidateNodePage, so a query can neither pin a page outside the file, nor
+// ValidateNodePage, so a query can neither read a page outside the file, nor
 // loop, nor prune a subtree on a box that does not cover it: every child id
 // must lie in [0, page_count), every child must sit exactly one level below
 // its parent (levels strictly decrease, which also rules out cycles), every
@@ -131,7 +126,8 @@ bool SaveIndex(const TrajectoryIndex& index, const std::string& path) {
   FilePtr file(std::fopen(path.c_str(), "wb"));
   if (file == nullptr) return false;
 
-  // Make sure every dirty frame is on the simulated disk first.
+  // Make sure every dirty frame is on the simulated disk first, then copy
+  // the pages straight from it.
   index.buffer().Flush();
 
   Header header;
@@ -149,10 +145,10 @@ bool SaveIndex(const TrajectoryIndex& index, const std::string& path) {
   if (std::fwrite(&header, 1, sizeof(header), file.get()) != sizeof(header)) {
     return false;
   }
-  // Page payload, read through the buffer so accounting stays consistent.
+  Page page;
   for (PageId id = 0; id < header.page_count; ++id) {
-    const PageGuard page = index.buffer().Pin(id);
-    if (std::fwrite(page->bytes.data(), 1, kPageSize, file.get()) !=
+    index.file().Read(id, &page);
+    if (std::fwrite(page.bytes.data(), 1, kPageSize, file.get()) !=
         kPageSize) {
       return false;
     }
@@ -168,10 +164,10 @@ std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
 std::unique_ptr<TrajectoryIndex> LoadIndex(
     const std::string& path, const TrajectoryIndex::Options& options,
     std::string* error) {
-  if (options.build_buffer_pages == 0) {
+  if (options.cache_pages == 0) {
     SetError(error, path +
-                        ": invalid open options: build_buffer_pages must be "
-                        "at least 1");
+                        ": invalid open options: cache_pages must be at "
+                        "least 1");
     return nullptr;
   }
   FilePtr file(std::fopen(path.c_str(), "rb"));

@@ -31,8 +31,8 @@ bool SaveIndex(const TrajectoryIndex& index, const std::string& path);
 std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
                                            std::string* error);
 
-/// LoadIndex with explicit buffer/cache configuration of the loaded index.
-/// A zero-page build buffer is an error, reported before any I/O. The
+/// LoadIndex with an explicit buffer configuration of the loaded index.
+/// A zero `cache_pages` is an error, reported before any I/O. The
 /// two-argument overload is equivalent to passing default options.
 std::unique_ptr<TrajectoryIndex> LoadIndex(
     const std::string& path, const TrajectoryIndex::Options& options,

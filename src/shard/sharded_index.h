@@ -5,7 +5,7 @@
 //
 // Trajectories are partitioned by a deterministic id hash; each shard owns
 // a complete single-node stack — its own TrajectoryStore slice, its own
-// TrajectoryIndex (PageFile + BufferManager + NodeCache), and its own
+// TrajectoryIndex (PageFile + BufferManager of decoded nodes), and its own
 // cross-query ResultCache — so shards never share mutable state and a
 // shard is the natural future unit of NUMA placement, ingestion, and
 // replication. A k-MST query over the logical index is answered by
@@ -43,8 +43,8 @@ class ShardedIndex {
   struct Options {
     /// Number of shards (>= 1, checked).
     int num_shards = 4;
-    /// Per-shard index construction knobs (buffer pages, node cache,
-    /// leaf format). Every shard gets the same configuration.
+    /// Per-shard index construction knobs (buffer pages, R-tree variant).
+    /// Every shard gets the same configuration.
     TrajectoryIndex::Options index_options;
     /// Per-shard cross-query result-cache capacity; 0 disables the caches.
     size_t result_cache_entries = 1 << 12;
@@ -70,8 +70,8 @@ class ShardedIndex {
   /// Call once; not thread-safe.
   void BuildFrom(const TrajectoryStore& store);
 
-  /// Shrinks every shard's buffer to the paper's experiment setting
-  /// (10 % of that shard's index, max 1000 pages) and drops cached state.
+  /// Drops every shard's cached nodes so the next query starts cold (see
+  /// TrajectoryIndex::ConfigurePaperBuffer).
   void ConfigurePaperBuffer();
 
   int num_shards() const { return static_cast<int>(shards_.size()); }

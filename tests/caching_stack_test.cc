@@ -1,12 +1,12 @@
-// The full caching stack under one roof: page buffer → decoded-node cache →
-// cross-query result cache. Every combination of NodeCache on/off ×
-// ResultCache on/off must leave both query families byte-identical to their
-// scan oracles — exact-period k-MST through the concurrent executor vs
-// LinearScanKMst, and time-relaxed k-MST vs TimeRelaxedKMst (whose index
-// traversal runs above the node cache but never touches the result cache).
-// Every backend (3D R-tree, TB-tree, STR-tree) behind a paper-sized buffer,
-// node cache off/on, must do the same for exact k-MST, with node-access
-// counts independent of the node cache.
+// The full caching stack under one roof: buffer of decoded nodes →
+// cross-query result cache. Every combination of an 8-page or 4096-page
+// node cache × ResultCache on/off must leave both query families
+// byte-identical to their scan oracles — exact-period k-MST through the
+// concurrent executor vs LinearScanKMst, and time-relaxed k-MST vs
+// TimeRelaxedKMst (whose index traversal runs above the node cache but never
+// touches the result cache). Every backend (3D R-tree, TB-tree, STR-tree)
+// behind an 8-page or 4096-page node cache must do the same for exact k-MST,
+// with node-access counts independent of the cache size.
 
 #include <gtest/gtest.h>
 
@@ -30,9 +30,9 @@
 namespace mst {
 namespace {
 
-// (node cache enabled, result cache enabled)
+// (node cache pages, result cache enabled)
 class CachingStackTest
-    : public ::testing::TestWithParam<std::tuple<bool, bool>> {
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {
  protected:
   static void SetUpTestSuite() {
     GstdOptions opt;
@@ -53,12 +53,12 @@ class CachingStackTest
 const TrajectoryStore* CachingStackTest::store_ = nullptr;
 
 TEST_P(CachingStackTest, ExactKMstMatchesLinearScanThroughExecutor) {
-  const auto [node_cache_on, result_cache_on] = GetParam();
+  const auto [cache_pages, result_cache_on] = GetParam();
   TrajectoryIndex::Options idx_opt;
-  idx_opt.node_cache_nodes = node_cache_on ? 4096 : 0;
+  idx_opt.cache_pages = cache_pages;
   TBTree index(idx_opt);
   index.BuildFrom(*store_);
-  ASSERT_EQ(index.node_cache().enabled(), node_cache_on);
+  ASSERT_EQ(index.node_cache().capacity(), cache_pages);
 
   QueryExecutor::Options exec_opt;
   exec_opt.num_workers = 2;
@@ -100,11 +100,10 @@ TEST_P(CachingStackTest, ExactKMstMatchesLinearScanThroughExecutor) {
       EXPECT_EQ(out.results[j].dissim, oracle[j].dissim) << "query " << i;
       EXPECT_EQ(out.results[j].error_bound, 0.0) << "query " << i;
     }
-    // Disabled layers must stay completely silent.
-    if (!node_cache_on) {
-      EXPECT_EQ(out.stats.node_cache_hits, 0);
-      EXPECT_EQ(out.stats.node_cache_misses, 0);
-    }
+    // The node cache partitions the accesses; a disabled result cache stays
+    // completely silent.
+    EXPECT_EQ(out.stats.node_cache_hits + out.stats.node_cache_misses,
+              out.stats.nodes_accessed);
     if (!result_cache_on) {
       EXPECT_EQ(out.stats.result_cache_hits, 0);
       EXPECT_EQ(out.stats.result_cache_misses, 0);
@@ -119,9 +118,9 @@ TEST_P(CachingStackTest, ExactKMstMatchesLinearScanThroughExecutor) {
 }
 
 TEST_P(CachingStackTest, TimeRelaxedMatchesScanOracleUnderEveryCacheConfig) {
-  const auto [node_cache_on, result_cache_on] = GetParam();
+  const auto [cache_pages, result_cache_on] = GetParam();
   TrajectoryIndex::Options idx_opt;
-  idx_opt.node_cache_nodes = node_cache_on ? 4096 : 0;
+  idx_opt.cache_pages = cache_pages;
   TBTree index(idx_opt);
   index.BuildFrom(*store_);
 
@@ -156,7 +155,7 @@ TEST_P(CachingStackTest, TimeRelaxedMatchesScanOracleUnderEveryCacheConfig) {
 }
 
 // Node accesses of the time-relaxed traversal are cache-invariant, like the
-// exact-period search's: pin it across the node-cache dimension directly.
+// exact-period search's: pin it across the cache-size dimension directly.
 TEST(CachingStackCrossCheckTest, TimeRelaxedNodeAccessesAreCacheInvariant) {
   GstdOptions opt;
   opt.num_objects = 32;
@@ -166,9 +165,9 @@ TEST(CachingStackCrossCheckTest, TimeRelaxedNodeAccessesAreCacheInvariant) {
 
   TBTree cached;
   cached.BuildFrom(store);
-  TrajectoryIndex::Options no_cache_opt;
-  no_cache_opt.node_cache_nodes = 0;
-  TBTree uncached(no_cache_opt);
+  TrajectoryIndex::Options tiny_opt;
+  tiny_opt.cache_pages = 8;
+  TBTree uncached(tiny_opt);
   uncached.BuildFrom(store);
 
   const Trajectory& q = store.trajectories()[5];
@@ -189,10 +188,10 @@ TEST(CachingStackCrossCheckTest, TimeRelaxedNodeAccessesAreCacheInvariant) {
   }
 }
 
-// The paper stack — a paper-sized buffer and a small node cache, both
-// evicting — must stay byte-identical to the plain default stack, on a
-// freshly built tree and on the same tree reloaded from disk, while the
-// buffer keeps no more frames resident than its page count.
+// A small, evicting cache behind ConfigurePaperBuffer must stay
+// byte-identical to the plain default stack, on a freshly built tree and on
+// the same tree reloaded from disk, while the buffer keeps exactly its page
+// count of frames resident.
 TEST(CachingStackCrossCheckTest, PaperStackIsByteIdenticalOnReloadedFiles) {
   GstdOptions opt;
   opt.num_objects = 40;
@@ -205,7 +204,7 @@ TEST(CachingStackCrossCheckTest, PaperStackIsByteIdenticalOnReloadedFiles) {
 
   TrajectoryIndex::Options paper_opt;
   // Small cache so it actually evicts during the run.
-  paper_opt.node_cache_nodes = 64;
+  paper_opt.cache_pages = 16;
   TBTree paper(paper_opt);
   paper.BuildFrom(store);
   paper.ConfigurePaperBuffer();
@@ -244,15 +243,95 @@ TEST(CachingStackCrossCheckTest, PaperStackIsByteIdenticalOnReloadedFiles) {
     EXPECT_EQ(st_paper.nodes_accessed, st_plain.nodes_accessed);
     EXPECT_EQ(st_loaded.nodes_accessed, st_plain.nodes_accessed);
   }
-  // One page per frame: the paper-sized buffer holds exactly its page
-  // count once the queries have touched more pages than that.
-  EXPECT_EQ(paper.buffer().resident_frames(), paper.buffer().capacity());
-  EXPECT_EQ(loaded->buffer().resident_frames(), loaded->buffer().capacity());
-  EXPECT_GT(paper.node_cache().hits(), 0);
+  // One page per frame: the buffer holds exactly its page count once the
+  // queries have touched more pages than that, and it both hit and missed.
+  const TrajectoryIndex* checked[] = {&paper, loaded.get()};
+  for (const TrajectoryIndex* index : checked) {
+    EXPECT_EQ(index->buffer().capacity(), 16u);
+    EXPECT_EQ(index->buffer().resident_frames(), 16u);
+    EXPECT_GT(index->buffer().misses(), 0);
+    EXPECT_GT(index->buffer().logical_reads(), index->buffer().misses());
+  }
 }
 
-// (node cache enabled, backend: 0 = 3D R-tree, 1 = TB-tree, 2 = STR-tree)
-using BackendConfig = std::tuple<bool, int>;
+// The decode-bound regime — TB-tree with eager completion, k = 50, queries
+// that are 5 % slices of a data trajectory — at cache capacities from 8
+// pages, where nearly every read decodes, to the 4096-page default: answers
+// are bitwise equal to each other and to LinearScan, node accesses are
+// equal, and every query's hits and misses add up to its node accesses.
+TEST(CachingStackCrossCheckTest, EagerRegimeIsIdenticalAtEveryCapacity) {
+  GstdOptions opt;
+  opt.num_objects = 80;
+  opt.samples_per_object = 100;
+  opt.seed = 4455;
+  const TrajectoryStore store = GenerateGstd(opt);
+  std::vector<Trajectory> queries;
+  Rng rng(89);
+  for (int i = 0; i < 8; ++i) {
+    const Trajectory& base =
+        store.trajectories()[rng.UniformIndex(store.trajectories().size())];
+    const double span = base.end_time() - base.start_time();
+    const double begin = base.start_time() + rng.Uniform(0.0, 0.95 * span);
+    queries.emplace_back(
+        1 << 29, base.Slice({begin, begin + 0.05 * span})->samples());
+  }
+  MstOptions q_opt;
+  q_opt.k = 50;
+  q_opt.use_eager_completion = true;
+
+  std::vector<std::vector<MstResult>> first;
+  std::vector<int64_t> first_accesses;
+  for (const size_t cache_pages : {size_t{8}, size_t{64}, size_t{4096}}) {
+    TrajectoryIndex::Options idx_opt;
+    idx_opt.cache_pages = cache_pages;
+    TBTree index(idx_opt);
+    index.BuildFrom(store);
+    index.ConfigurePaperBuffer();
+    const BFMstSearch search(&index, &store);
+    for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const Trajectory& q = queries[i];
+        MstStats stats;
+        const std::vector<MstResult> got =
+            search.Search(q, q.Lifespan(), q_opt, &stats);
+        EXPECT_EQ(stats.node_cache_hits + stats.node_cache_misses,
+                  stats.nodes_accessed)
+            << cache_pages << " pages, query " << i;
+        if (first.size() < queries.size()) {
+          const std::vector<MstResult> oracle =
+              LinearScanKMst(store, q, q.Lifespan(), q_opt.k,
+                             IntegrationPolicy::kExact);
+          ASSERT_EQ(oracle.size(), static_cast<size_t>(q_opt.k));
+          ASSERT_EQ(got.size(), oracle.size()) << "query " << i;
+          for (size_t j = 0; j < oracle.size(); ++j) {
+            EXPECT_EQ(got[j].id, oracle[j].id) << "query " << i;
+            EXPECT_EQ(got[j].dissim, oracle[j].dissim) << "query " << i;
+          }
+          first.push_back(got);
+          first_accesses.push_back(stats.nodes_accessed);
+          continue;
+        }
+        ASSERT_EQ(got.size(), first[i].size());
+        for (size_t j = 0; j < got.size(); ++j) {
+          EXPECT_EQ(got[j].id, first[i][j].id)
+              << cache_pages << " pages, query " << i;
+          EXPECT_EQ(got[j].dissim, first[i][j].dissim)
+              << cache_pages << " pages, query " << i;
+          EXPECT_EQ(got[j].error_bound, first[i][j].error_bound)
+              << cache_pages << " pages, query " << i;
+        }
+        EXPECT_EQ(stats.nodes_accessed, first_accesses[i])
+            << cache_pages << " pages, query " << i;
+      }
+    }
+    if (cache_pages == 8) {
+      EXPECT_GT(index.buffer().misses(), 0);
+    }
+  }
+}
+
+// (node cache pages, backend: 0 = 3D R-tree, 1 = TB-tree, 2 = STR-tree)
+using BackendConfig = std::tuple<size_t, int>;
 
 class CachingStackFormatTest : public ::testing::TestWithParam<BackendConfig> {
  protected:
@@ -306,17 +385,16 @@ std::unique_ptr<TrajectoryIndex> BuildBackend(
   return index;
 }
 
-// Exact k-MST through the backend, behind a paper-sized buffer and (when
-// on) a small node cache so both evict, must equal LinearScan bitwise; the
-// tree shape and node accesses must equal the uncached stack's. Each query
-// runs twice so the repeat reads warm caches. With the node cache off every
-// leaf is decoded from its buffer frame on every read.
+// Exact k-MST through the backend, built and searched behind an 8-page
+// cache (evicting dirty nodes during the build and decoding nearly every
+// read) or the default 4096-page one, must equal LinearScan bitwise; the
+// tree shape and node accesses must equal the default stack's. Each query
+// runs twice so the repeat reads warm caches.
 TEST_P(CachingStackFormatTest, KMstMatchesLinearScanOnEveryBackend) {
-  const auto [node_cache_on, backend] = GetParam();
+  const auto [cache_pages, backend] = GetParam();
   TrajectoryIndex::Options opt;
-  opt.node_cache_nodes = node_cache_on ? 32 : 0;
-  TrajectoryIndex::Options baseline_opt;
-  baseline_opt.node_cache_nodes = 0;
+  opt.cache_pages = cache_pages;
+  const TrajectoryIndex::Options baseline_opt;
 
   const auto index = BuildBackend(backend, opt, *store_);
   const auto baseline = BuildBackend(backend, baseline_opt, *store_);
@@ -356,20 +434,21 @@ TEST_P(CachingStackFormatTest, KMstMatchesLinearScanOnEveryBackend) {
 
 INSTANTIATE_TEST_SUITE_P(
     PageFormatMatrix, CachingStackFormatTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Values(0, 1, 2)),
+    ::testing::Combine(::testing::Values(size_t{8}, size_t{4096}),
+                       ::testing::Values(0, 1, 2)),
     [](const auto& info) {
       // Every file keeps v1 internal pages and v2 leaf pages.
-      return std::string("V1Internal_V2Leaf_") +
-             (std::get<0>(info.param) ? "NodeCacheOn_" : "NodeCacheOff_") +
+      return std::string("V1Internal_V2Leaf_NodeCache") +
+             std::to_string(std::get<0>(info.param)) + "_" +
              BackendName(std::get<1>(info.param));
     });
 
 INSTANTIATE_TEST_SUITE_P(
     AllCacheConfigs, CachingStackTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    ::testing::Combine(::testing::Values(size_t{8}, size_t{4096}),
+                       ::testing::Bool()),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) ? "NodeCacheOn"
-                                                 : "NodeCacheOff") +
+      return "NodeCache" + std::to_string(std::get<0>(info.param)) +
              (std::get<1>(info.param) ? "_ResultCacheOn" : "_ResultCacheOff");
     });
 

@@ -200,10 +200,11 @@ TEST(IngestEngineTest, MergeEmitsV2LeavesAndV1Internals) {
   view.main->buffer().Flush();
   int v2_leaves = 0;
   int v1_internals = 0;
+  Page page;
   for (PageId id = 0; id < view.main->NodeCount(); ++id) {
-    const PageGuard page = view.main->buffer().Pin(id);
-    if (page->bytes[1] == 2) ++v2_leaves;
-    else if (NodePageLevel(*page) > 0 && page->bytes[1] == 0) ++v1_internals;
+    view.main->file().Read(id, &page);
+    if (page.bytes[1] == 2) ++v2_leaves;
+    else if (NodePageLevel(page) > 0 && page.bytes[1] == 0) ++v1_internals;
   }
   EXPECT_EQ(v2_leaves + v1_internals, view.main->NodeCount());
   EXPECT_GT(v2_leaves, 0);

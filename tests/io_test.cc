@@ -204,11 +204,12 @@ constexpr long kMaxSpeedOffset = 8 + 24;
 
 TEST(IndexIoTest, OpenRejectsZeroBufferPagesBeforeAnyIo) {
   TrajectoryIndex::Options options;
-  options.build_buffer_pages = 0;
+  options.cache_pages = 0;
   std::string error;
   // The path does not even exist — invalid options fail first, explicitly.
   EXPECT_EQ(LoadIndex("/nonexistent/opts.mst", options, &error), nullptr);
-  EXPECT_NE(error.find("build_buffer_pages"), std::string::npos);
+  EXPECT_NE(error.find("cache_pages must be at least 1"), std::string::npos)
+      << error;
 }
 
 TEST(IndexIoTest, RejectsTrailingBytesAfterPagePayload) {
@@ -260,10 +261,11 @@ TEST(IndexIoTest, OpenOptionsConfigureTheLoadedIndex) {
   ASSERT_TRUE(SaveIndex(tree, path));
 
   TrajectoryIndex::Options options;
-  options.node_cache_nodes = 0;  // disable the decoded-node cache
+  options.cache_pages = 8;
   std::string error;
   const auto loaded = LoadIndex(path, options, &error);
   ASSERT_NE(loaded, nullptr) << error;
+  EXPECT_EQ(loaded->buffer().capacity(), 8u);
   EXPECT_EQ(loaded->EntryCount(), tree.EntryCount());
   const BFMstSearch searcher(loaded.get(), &store);
   const Trajectory query(999, store.Get(3).Slice({0.2, 0.6})->samples());
@@ -271,8 +273,11 @@ TEST(IndexIoTest, OpenOptionsConfigureTheLoadedIndex) {
   const auto got =
       searcher.Search(query, query.Lifespan(), MstOptions(), &stats);
   ASSERT_FALSE(got.empty());
-  // With the cache disabled, no hit/miss traffic is recorded at all.
-  EXPECT_EQ(stats.node_cache_hits + stats.node_cache_misses, 0);
+  // The loaded index starts cold behind its 8-page cache.
+  EXPECT_GT(stats.node_cache_misses, 0);
+  EXPECT_EQ(stats.node_cache_hits + stats.node_cache_misses,
+            stats.nodes_accessed);
+  EXPECT_EQ(loaded->buffer().resident_frames(), 8u);
 }
 
 // Byte offset of the first page whose format byte (byte 1) is `version`
@@ -333,15 +338,15 @@ TEST(IndexIoTest, RejectsOversizedEntryCounts) {
   ASSERT_GT(leaf, 0);
   ASSERT_GT(internal, 0) << "expected a v1 internal page";
 
-  TrajectoryIndex::Options uncached;
-  uncached.node_cache_nodes = 0;
+  TrajectoryIndex::Options small;
+  small.cache_pages = 8;
   const uint8_t count = 200;  // v2 leaves store the count in byte 3
   PatchFile(path, leaf + 3, &count, 1);
   std::string error;
   EXPECT_EQ(LoadIndex(path, &error), nullptr);
   EXPECT_NE(error.find("corrupt v2 leaf page"), std::string::npos) << error;
   EXPECT_NE(error.find("entry count 200"), std::string::npos) << error;
-  EXPECT_EQ(LoadIndex(path, uncached, &error), nullptr);
+  EXPECT_EQ(LoadIndex(path, small, &error), nullptr);
 
   ASSERT_TRUE(SaveIndex(tree, path));
   const int32_t v1_count = 73;  // v1 pages store an int32 count at byte 4

@@ -246,8 +246,8 @@ TEST_P(MetamorphicTest, ResultsSortedUniqueAndExclusionRespected) {
 // nothing else. With exact post-processing the answers are a pure function
 // of the trajectory set, so a quadratic-built and an R*-built R-tree must
 // return bitwise-identical (id, dissim, error_bound) lists — under every
-// traversal policy, with the decoded-node cache on or off — and both must
-// agree with the LinearScan ground truth on ids and ranks.
+// traversal policy, behind an 8-page or a 4096-page node buffer — and both
+// must agree with the LinearScan ground truth on ids and ranks.
 TEST(RStarEquivalenceTest, BitwiseEqualAcrossPoliciesAndCaches) {
   GstdOptions opt;
   opt.num_objects = 50;
@@ -256,9 +256,9 @@ TEST(RStarEquivalenceTest, BitwiseEqualAcrossPoliciesAndCaches) {
   opt.seed = 37;
   const TrajectoryStore store(GenerateGstd(opt));
 
-  for (const size_t cache_nodes : {size_t{0}, size_t{1024}}) {
+  for (const size_t cache_pages : {size_t{8}, size_t{4096}}) {
     TrajectoryIndex::Options quad_opt;
-    quad_opt.node_cache_nodes = cache_nodes;
+    quad_opt.cache_pages = cache_pages;
     RTree3D quad(quad_opt);
     quad.BuildFrom(store);
 
@@ -293,7 +293,7 @@ TEST(RStarEquivalenceTest, BitwiseEqualAcrossPoliciesAndCaches) {
             rstar_search.Search(query, period, options);
         ASSERT_EQ(got.size(), want.size())
             << "policy=" << static_cast<int>(policy)
-            << " cache=" << cache_nodes << " trial=" << trial;
+            << " cache=" << cache_pages << " trial=" << trial;
         for (size_t i = 0; i < want.size(); ++i) {
           EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
           EXPECT_EQ(got[i].dissim, want[i].dissim) << "rank " << i;

@@ -60,107 +60,177 @@ TEST(PageFileDeathTest, RejectsInvalidPage) {
 // Buffer tests that assert exact LRU order use a single shard; the sharded
 // configurations are exercised in buffer_concurrency_test.cc.
 
+// A one-entry leaf on page `self` whose trajectory id is `marker`.
+IndexNode MarkedLeaf(PageId self, TrajectoryId marker) {
+  IndexNode node;
+  node.self = self;
+  node.level = 0;
+  node.leaves.push_back(
+      LeafEntry::Of(marker, {0.0, {0.0, 0.0}}, {1.0, {1.0, 1.0}}));
+  return node;
+}
+
+TrajectoryId Marker(const IndexNode& node) { return node.leaves[0].traj_id; }
+
+// Appends `n` pages to `f`, page id holding MarkedLeaf(id, 100 + id).
+void FillMarkedFile(PageFile* f, int n) {
+  for (int i = 0; i < n; ++i) {
+    const PageId id = f->Allocate();
+    Page page;
+    MarkedLeaf(id, 100 + id).EncodeTo(&page);
+    f->Write(id, page);
+  }
+}
+
+// Marker of page `id` as stored in the file, bypassing any buffer.
+TrajectoryId FileMarker(PageFile* f, PageId id) {
+  Page page;
+  f->Read(id, &page);
+  return Marker(IndexNode::Decode(page, id));
+}
+
 TEST(BufferManagerTest, HitsAvoidPhysicalReads) {
   PageFile f;
+  FillMarkedFile(&f, 1);
   BufferManager buf(&f, 4, /*num_shards=*/1);
-  const PageId a = buf.AllocatePage();
-  buf.Flush();
-  const int64_t before = f.stats().physical_reads;
-  for (int i = 0; i < 10; ++i) buf.Pin(a);
-  EXPECT_EQ(f.stats().physical_reads, before);  // all hits
-  EXPECT_EQ(buf.logical_reads(), 10);
+  EXPECT_EQ(Marker(*buf.Read(0)), 100);
+  EXPECT_EQ(f.stats().physical_reads, 1);
+  for (int i = 0; i < 10; ++i) buf.Read(0);
+  EXPECT_EQ(f.stats().physical_reads, 1);  // all hits
+  EXPECT_EQ(buf.logical_reads(), 11);
+  EXPECT_EQ(buf.misses(), 1);
 }
 
 TEST(BufferManagerTest, EvictsLruAndWritesBackDirty) {
   PageFile f;
+  FillMarkedFile(&f, 3);
   BufferManager buf(&f, 2, /*num_shards=*/1);
-  const PageId a = buf.AllocatePage();
-  const PageId b = buf.AllocatePage();
-  buf.PinMutable(a).mutable_page()->WriteAt<int32_t>(0, 11);
-  buf.PinMutable(b).mutable_page()->WriteAt<int32_t>(0, 22);
-  // Capacity 2: touching a third page evicts the LRU (a).
-  const PageId c = buf.AllocatePage();
-  (void)c;
-  // a's dirty frame must have reached the file.
-  Page raw;
-  f.Read(a, &raw);
-  EXPECT_EQ(raw.ReadAt<int32_t>(0), 11);
-  // Re-reading a is a miss.
+  buf.Write(MarkedLeaf(0, 11));
+  buf.Write(MarkedLeaf(1, 22));
+  EXPECT_EQ(f.stats().physical_writes, 3);  // only the fill so far
+  // Capacity 2: reading a third page evicts the LRU frame (page 0), whose
+  // dirty node must reach the file, encoded. Page 1 is still only cached.
+  buf.Read(2);
+  EXPECT_EQ(FileMarker(&f, 0), 11);
+  EXPECT_EQ(FileMarker(&f, 1), 101);
+  // Re-reading page 0 is a miss that decodes the written-back node.
   const int64_t misses_before = buf.misses();
-  const PageGuard ga = buf.Pin(a);
+  EXPECT_EQ(Marker(*buf.Read(0)), 11);
   EXPECT_EQ(buf.misses(), misses_before + 1);
-  EXPECT_EQ(ga->ReadAt<int32_t>(0), 11);
 }
 
 TEST(BufferManagerTest, LruOrderRespectsRecency) {
   PageFile f;
+  FillMarkedFile(&f, 3);
   BufferManager buf(&f, 2, /*num_shards=*/1);
-  const PageId a = buf.AllocatePage();
-  const PageId b = buf.AllocatePage();
-  buf.Flush();
-  buf.Clear();
-  buf.Pin(a);
-  buf.Pin(b);
-  buf.Pin(a);  // a is now MRU
-  const PageId c = buf.AllocatePage();  // evicts b, not a
-  (void)c;
+  buf.Read(0);
+  buf.Read(1);
+  buf.Read(0);  // page 0 is now MRU
+  buf.Read(2);  // evicts page 1, not page 0
   const int64_t misses_before = buf.misses();
-  buf.Pin(a);  // hit
+  buf.Read(0);  // hit
   EXPECT_EQ(buf.misses(), misses_before);
-  buf.Pin(b);  // miss
+  buf.Read(1);  // miss
   EXPECT_EQ(buf.misses(), misses_before + 1);
 }
 
 TEST(BufferManagerTest, FlushPersistsWithoutDropping) {
   PageFile f;
+  FillMarkedFile(&f, 1);
   BufferManager buf(&f, 4, /*num_shards=*/1);
-  const PageId a = buf.AllocatePage();
-  buf.PinMutable(a).mutable_page()->WriteAt<double>(8, 2.5);
+  f.ResetStats();
+  buf.Write(MarkedLeaf(0, 25));
   buf.Flush();
-  Page raw;
-  f.Read(a, &raw);
-  EXPECT_DOUBLE_EQ(raw.ReadAt<double>(8), 2.5);
-  // Still cached: no miss on next access.
+  EXPECT_EQ(FileMarker(&f, 0), 25);
+  EXPECT_EQ(f.stats().physical_writes, 1);
+  buf.Flush();  // the frame is clean now: nothing more to write
+  EXPECT_EQ(f.stats().physical_writes, 1);
+  // Still cached: no miss on the next read.
   const int64_t misses_before = buf.misses();
-  buf.Pin(a);
+  EXPECT_EQ(Marker(*buf.Read(0)), 25);
   EXPECT_EQ(buf.misses(), misses_before);
+}
+
+TEST(BufferManagerTest, ClearFlushesDirtyFramesAndDropsEveryFrame) {
+  PageFile f;
+  FillMarkedFile(&f, 2);
+  BufferManager buf(&f, 4, /*num_shards=*/1);
+  buf.Write(MarkedLeaf(0, 31));
+  const NodeRef held = buf.Read(1);
+  buf.Clear();
+  EXPECT_EQ(buf.resident_frames(), 0u);
+  EXPECT_EQ(buf.resident_bytes(), 0u);
+  EXPECT_EQ(FileMarker(&f, 0), 31);
+  // A held node outlives the frame it came from.
+  EXPECT_EQ(Marker(*held), 101);
+  const int64_t misses_before = buf.misses();
+  EXPECT_EQ(Marker(*buf.Read(0)), 31);
+  buf.Read(1);
+  EXPECT_EQ(buf.misses(), misses_before + 2);
+}
+
+TEST(BufferManagerTest, WriteSwapsTheFrameAndHoldersKeepTheOldNode) {
+  PageFile f;
+  FillMarkedFile(&f, 1);
+  BufferManager buf(&f, 4, /*num_shards=*/1);
+  const NodeRef before = buf.Read(0);
+  buf.Write(MarkedLeaf(0, 41));
+  const int64_t misses_before = buf.misses();
+  EXPECT_EQ(Marker(*buf.Read(0)), 41);
+  EXPECT_EQ(buf.misses(), misses_before);  // served from the swapped frame
+  EXPECT_EQ(Marker(*before), 100);
+  EXPECT_EQ(buf.resident_frames(), 1u);
 }
 
 TEST(BufferManagerTest, SetCapacityShrinksAndEvicts) {
   PageFile f;
+  FillMarkedFile(&f, 6);
   BufferManager buf(&f, 8, /*num_shards=*/1);
-  for (int i = 0; i < 6; ++i) buf.AllocatePage();
+  f.ResetStats();
+  for (PageId id = 0; id < 6; ++id) buf.Write(MarkedLeaf(id, 200 + id));
   buf.SetCapacity(2);
   EXPECT_EQ(buf.capacity(), 2u);
-  EXPECT_LE(buf.resident_frames(), 2u);
-  // All six pages must still be readable (write-back happened on eviction).
-  for (PageId id = 0; id < 6; ++id) buf.Pin(id);
+  EXPECT_EQ(buf.resident_frames(), 2u);
+  // The four evicted frames were dirty: each was written back once.
+  EXPECT_EQ(f.stats().physical_writes, 4);
+  for (PageId id = 0; id < 6; ++id) {
+    EXPECT_EQ(Marker(*buf.Read(id)), 200 + id);
+  }
 }
 
 TEST(BufferManagerTest, EveryPageOccupiesOneFrame) {
-  // The buffer counts frames, not bytes, and never reads a page's header to
-  // size it: a page whose format byte (byte 1) is 3, the retired
-  // compressed-leaf layout, still occupies exactly one frame.
-  Page page;
-  page.bytes[1] = 3;
+  // The buffer counts frames, not bytes: an empty leaf, a full leaf and an
+  // internal node each occupy exactly one.
+  IndexNode empty_leaf;
+  empty_leaf.level = 0;
+  IndexNode full_leaf;
+  full_leaf.level = 0;
+  for (int i = 0; i < IndexNode::kCapacity; ++i) {
+    full_leaf.leaves.push_back(
+        LeafEntry::Of(i, {0.0, {0.0, 0.0}}, {1.0, {1.0, 1.0}}));
+  }
+  IndexNode internal;
+  internal.level = 1;
+  internal.internals.push_back({full_leaf.Bounds(), 0, 0});
+  const IndexNode* kinds[] = {&empty_leaf, &full_leaf, &internal};
   PageFile f;
-  std::vector<PageId> ids;
   for (int i = 0; i < 16; ++i) {
-    ids.push_back(f.Allocate());
-    f.Write(ids.back(), page);
+    Page page;
+    kinds[i % 3]->EncodeTo(&page);
+    f.Write(f.Allocate(), page);
   }
 
   BufferManager buf(&f, 4, /*num_shards=*/1);
-  for (const PageId id : ids) buf.Pin(id);
+  for (PageId id = 0; id < 16; ++id) buf.Read(id);
   EXPECT_EQ(buf.resident_frames(), 4u);
   const int64_t misses_before = buf.misses();
-  for (const PageId id : ids) buf.Pin(id);
+  for (PageId id = 0; id < 16; ++id) buf.Read(id);
   EXPECT_EQ(buf.misses(), misses_before + 16);  // cyclic scan: all misses
 }
 
 TEST(BufferManagerTest, RawPagesKeepExactlyCapacityFrames) {
-  // v2 leaf and v1 internal pages alike: the buffer keeps exactly
-  // capacity() of them resident — the paper's page-count LRU.
+  // v2 leaf and v1 internal pages alike decode into frames, and the buffer
+  // keeps exactly capacity() of them resident — the paper's page-count LRU.
   IndexNode leaf;
   leaf.level = 0;
   leaf.leaves.push_back(LeafEntry::Of(1, {0.0, {0.0, 0.0}}, {1.0, {1.0, 1.0}}));
@@ -179,77 +249,42 @@ TEST(BufferManagerTest, RawPagesKeepExactlyCapacityFrames) {
   BufferManager single(&f, 5, /*num_shards=*/1);
   BufferManager sharded(&f, 16);  // default sharding: 2 pages per shard
   for (PageId id = 0; id < 64; ++id) {
-    single.Pin(id);
-    sharded.Pin(id);
+    EXPECT_EQ(single.Read(id)->level, id % 2);
+    sharded.Read(id);
   }
   EXPECT_EQ(single.resident_frames(), single.capacity());
   EXPECT_EQ(sharded.resident_frames(), sharded.capacity());
 }
 
 TEST(BufferManagerTest, PinnedFrameSurvivesEvictionPressure) {
+  // A held NodeRef is the pin: thrashing far past capacity evicts the frame
+  // from the buffer, never the node from its holder.
   PageFile f;
+  FillMarkedFile(&f, 8);
   BufferManager buf(&f, 2, /*num_shards=*/1);
-  for (int i = 0; i < 8; ++i) buf.AllocatePage();
-  buf.PinMutable(0).mutable_page()->WriteAt<int32_t>(0, 123);
-  const PageGuard pinned = buf.Pin(0);
-  EXPECT_EQ(buf.pinned_frames(), 1);
-  // Thrash far past capacity: page 0 must stay resident and intact.
-  for (PageId id = 1; id < 8; ++id) buf.Pin(id);
-  EXPECT_EQ(pinned->ReadAt<int32_t>(0), 123);
-  EXPECT_EQ(pinned.id(), 0);
-}
-
-TEST(BufferManagerTest, ClearKeepsPinnedFrames) {
-  PageFile f;
-  BufferManager buf(&f, 4, /*num_shards=*/1);
-  const PageId a = buf.AllocatePage();
-  const PageId b = buf.AllocatePage();
-  const PageGuard ga = buf.Pin(a);
-  buf.Clear();
-  EXPECT_EQ(buf.resident_frames(), 1u);  // only the pinned frame remains
-  const int64_t misses_before = buf.misses();
-  buf.Pin(a);  // still cached: hit
-  EXPECT_EQ(buf.misses(), misses_before);
-  buf.Pin(b);  // dropped by Clear: miss
-  EXPECT_EQ(buf.misses(), misses_before + 1);
-}
-
-TEST(BufferManagerTest, GuardMoveTransfersThePin) {
-  PageFile f;
-  BufferManager buf(&f, 4, /*num_shards=*/1);
-  const PageId a = buf.AllocatePage();
-  PageGuard g1 = buf.Pin(a);
-  EXPECT_EQ(buf.pinned_frames(), 1);
-  PageGuard g2 = std::move(g1);
-  EXPECT_FALSE(g1.valid());  // NOLINT(bugprone-use-after-move): testing it
-  EXPECT_TRUE(g2.valid());
-  EXPECT_EQ(buf.pinned_frames(), 1);
-  g2.Release();
-  EXPECT_EQ(buf.pinned_frames(), 0);
-}
-
-TEST(BufferManagerDeathTest, ReadOnlyGuardRejectsMutableAccess) {
-  PageFile f;
-  BufferManager buf(&f, 4, /*num_shards=*/1);
-  const PageId a = buf.AllocatePage();
-  PageGuard g = buf.Pin(a);
-  EXPECT_DEATH(g.mutable_page(), "read-only");
+  buf.Write(MarkedLeaf(0, 123));
+  const NodeRef pinned = buf.Read(0);
+  for (PageId id = 1; id < 8; ++id) buf.Read(id);
+  EXPECT_EQ(buf.resident_frames(), 2u);
+  EXPECT_EQ(Marker(*pinned), 123);
+  EXPECT_EQ(pinned->self, 0);
+  EXPECT_EQ(FileMarker(&f, 0), 123);  // written back when evicted
 }
 
 TEST(BufferManagerTest, ShardedBufferServesAllPages) {
   PageFile f;
+  FillMarkedFile(&f, 64);
   BufferManager buf(&f, 16);  // default sharding
   EXPECT_EQ(buf.shard_count(), BufferManager::kDefaultShards);
-  for (int i = 0; i < 64; ++i) buf.AllocatePage();
-  for (PageId id = 0; id < 64; ++id) {
-    buf.PinMutable(id).mutable_page()->WriteAt<PageId>(0, id);
-  }
+  for (PageId id = 0; id < 64; ++id) buf.Write(MarkedLeaf(id, 1000 + id));
   buf.Flush();
   buf.Clear();
   for (PageId id = 0; id < 64; ++id) {
-    EXPECT_EQ(buf.Pin(id)->ReadAt<PageId>(0), id);
+    const NodeRef node = buf.Read(id);
+    EXPECT_EQ(node->self, id);
+    EXPECT_EQ(Marker(*node), 1000 + id);
   }
-  EXPECT_LE(buf.resident_frames(), 16u + buf.shard_count());
+  EXPECT_EQ(buf.resident_frames(), 16u);
 }
 
 TEST(NodeCodecTest, CapacityIs72With4KPages) {

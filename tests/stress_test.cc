@@ -104,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StressTest,
                                            34u));
 
 TEST(StressBufferTest, BuildsSurviveHeavyEviction) {
-  // A build buffer of only 4 frames forces constant eviction/write-back
+  // A cache of only 4 pages forces constant eviction and dirty write-back
   // mid-insertion; the resulting trees must be byte-for-byte as correct as
   // ones built with a roomy cache.
   GstdOptions opt;
@@ -113,7 +113,7 @@ TEST(StressBufferTest, BuildsSurviveHeavyEviction) {
   opt.seed = 271;
   const TrajectoryStore store = GenerateGstd(opt);
   TrajectoryIndex::Options tiny;
-  tiny.build_buffer_pages = 4;
+  tiny.cache_pages = 4;
 
   RTree3D rtree(tiny);
   rtree.BuildFrom(store);

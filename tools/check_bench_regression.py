@@ -42,17 +42,11 @@ WORKLOAD_FIELDS = (
     "rounds",
     "k",
     "length_fraction",
-    "eager_completion",
     "repeats",
-    "cache_nodes",
     "cache_entries",
     "policy",
-    "decode_reps",
     "seed",
     "hardware_threads",
-    "buffer_fraction",
-    "cache_fraction",
-    "hit_reps",
 )
 
 # Ratios below this are measurement noise; a relative drop says nothing.
@@ -70,19 +64,12 @@ def is_ratio_metric(name):
 
 
 def is_workload_shaped_metric(name):
-    # decode_speed_ratio and warm_speedup divide decode-bound work by a
-    # baseline whose cost is set by where the page set sits in the memory
-    # hierarchy, so they only mean something at matching scale. The node
-    # cache's capacity and warm-throughput ratios are likewise shaped by
-    # the byte budget and working-set size, both functions of the workload.
     # The index-quality ratios (node accesses / cold reads, quadratic over
     # R*) depend on tree height and fanout utilisation, which change with
     # dataset cardinality — a --quick S0200 ratio is not the committed
     # S1000 baseline's, so they are only gated at matching scale.
     return (name.startswith("qps_") or name.endswith("hit_rate")
-            or name in ("decode_speed_ratio", "warm_speedup",
-                        "cached_capacity_ratio", "warm_cache_ratio",
-                        "node_access_ratio", "cold_read_ratio"))
+            or name in ("node_access_ratio", "cold_read_ratio"))
 
 
 def load(path, role):

@@ -254,14 +254,11 @@ int CmdMst(int argc, char** argv) {
               static_cast<long long>(stats.heap_pushes),
               static_cast<long long>(stats.mindist_evaluations),
               static_cast<long long>(stats.leaf_entries_seen));
-  const NodeCache& cache = ctx.index->node_cache();
-  if (cache.enabled()) {
-    std::printf("node cache: %zu nodes resident, %.1f KB, "
-                "%lld hits / %lld misses\n",
-                cache.resident_nodes(), cache.resident_bytes() / 1024.0,
-                static_cast<long long>(cache.hits()),
-                static_cast<long long>(cache.misses()));
-  }
+  const BufferManager& buffer = ctx.index->buffer();
+  std::printf("buffer: %zu nodes resident, %.1f KB, %lld hits / %lld misses\n",
+              buffer.resident_frames(), buffer.resident_bytes() / 1024.0,
+              static_cast<long long>(buffer.logical_reads() - buffer.misses()),
+              static_cast<long long>(buffer.misses()));
   return 0;
 }
 
