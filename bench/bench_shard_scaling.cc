@@ -2,9 +2,8 @@
 // workload runs through four engines over the same dataset:
 //
 //   unsharded — BFMstSearch on one TB-tree (the PR-before-this baseline),
-//   N=1/2/8   — ScatterGatherSearch over a ShardedIndex, sharing off
-//               (the pure partition-and-merge cost) and sharing on
-//               (cross-shard kth-bound seeding),
+//   N=1/2/8   — ScatterGatherSearch over a ShardedIndex (the pure
+//               partition-and-merge cost),
 //   frontend  — the same workload submitted concurrently through
 //               ShardFrontEnd (N=8, per-shard workers + gather thread),
 //               the service-shaped throughput number.
@@ -13,12 +12,9 @@
 // leg must return bitwise-identical results to the unsharded engine, and
 // the N=1 leg must also match its node-access counts exactly — one shard
 // receives every trajectory in store order and builds the identical tree.
-// Cross-shard sharing must never change a result and never raise a query's
-// aggregate node accesses over the sharing-off leg.
 //
 // Exits nonzero on: result/node-access mismatch between a sharded leg and
-// the unsharded engine (exit 2), unwritable JSON (exit 3), or a sharing
-// violation — changed result or grown node accesses (exit 5).
+// the unsharded engine (exit 2), or unwritable JSON (exit 3).
 
 #include <cinttypes>
 #include <cstdio>
@@ -76,10 +72,9 @@ void RunRepeats(const std::vector<Trajectory>& queries,
 }
 
 // `equal_nodes`: per-query node accesses must match the reference exactly
-// (the N=1 identity gate). `bounded_nodes`: they must not exceed it (the
-// sharing contract). Results must always be bitwise identical.
+// (the N=1 identity gate). Results must always be bitwise identical.
 bool LegsAgree(const char* name, const LegResult& ref, const LegResult& leg,
-               bool equal_nodes, bool bounded_nodes) {
+               bool equal_nodes) {
   if (ref.records.size() != leg.records.size()) {
     std::fprintf(stderr, "[shard_scaling] %s: record count differs\n", name);
     return false;
@@ -90,13 +85,6 @@ bool LegsAgree(const char* name, const LegResult& ref, const LegResult& leg,
     if (equal_nodes && a.nodes_accessed != b.nodes_accessed) {
       std::fprintf(stderr,
                    "[shard_scaling] %s: query %zu node accesses differ "
-                   "(ref=%" PRId64 " leg=%" PRId64 ")\n",
-                   name, i, a.nodes_accessed, b.nodes_accessed);
-      return false;
-    }
-    if (bounded_nodes && b.nodes_accessed > a.nodes_accessed) {
-      std::fprintf(stderr,
-                   "[shard_scaling] %s: query %zu node accesses grew "
                    "(ref=%" PRId64 " leg=%" PRId64 ")\n",
                    name, i, a.nodes_accessed, b.nodes_accessed);
       return false;
@@ -186,8 +174,7 @@ int Main(int argc, char** argv) {
   for (int i = 0; i < queries; ++i) {
     query_set.push_back(bench::MakeQuery(store, &rng, length));
   }
-  // Exact refinement: the accuracy-first configuration, and the only one
-  // where cross-shard bound sharing is active (its soundness gate).
+  // Exact refinement: the accuracy-first configuration.
   MstOptions options;
   options.k = static_cast<int>(k);
   options.policy = IntegrationPolicy::kExact;
@@ -205,31 +192,20 @@ int Main(int argc, char** argv) {
       },
       &baseline);
 
-  std::vector<LegResult> off_legs(sharded.size());
-  std::vector<LegResult> on_legs(sharded.size());
+  std::vector<LegResult> legs(sharded.size());
   for (size_t s = 0; s < sharded.size(); ++s) {
-    ScatterGatherOptions off_opt;
-    off_opt.share_cross_shard_bounds = false;
-    const ScatterGatherSearch off(sharded[s].get(), off_opt);
+    const ScatterGatherSearch search(sharded[s].get());
     RunRepeats(
         query_set, options, static_cast<int>(repeats),
         [&](const Trajectory& q, const MstOptions& opt, MstStats* stats) {
-          return off.Search(q, q.Lifespan(), opt, stats);
+          return search.Search(q, q.Lifespan(), opt, stats);
         },
-        &off_legs[s]);
-
-    const ScatterGatherSearch on(sharded[s].get());  // sharing on (default)
-    RunRepeats(
-        query_set, options, static_cast<int>(repeats),
-        [&](const Trajectory& q, const MstOptions& opt, MstStats* stats) {
-          return on.Search(q, q.Lifespan(), opt, stats);
-        },
-        &on_legs[s]);
+        &legs[s]);
   }
 
   // The service leg: every query in flight at once through the N=8
-  // front-end with sharing on; wall time, not CPU time — this leg exists to
-  // measure cross-query parallel throughput.
+  // front-end; wall time, not CPU time — this leg exists to measure
+  // cross-query parallel throughput.
   const ShardedIndex* widest = sharded.back().get();
   double frontend_best_seconds = 1e300;
   std::vector<QueryRequest> requests;
@@ -262,22 +238,12 @@ int Main(int argc, char** argv) {
     std::snprintf(name, sizeof(name), "shards=%d", n);
     // Identity gate: results bitwise identical for every N; node accesses
     // exactly equal for N=1 (same tree, same traversal).
-    if (!LegsAgree(name, baseline, off_legs[s],
-                   /*equal_nodes=*/n == 1, /*bounded_nodes=*/false)) {
+    if (!LegsAgree(name, baseline, legs[s], /*equal_nodes=*/n == 1)) {
       std::fprintf(stderr,
                    "[shard_scaling] FAIL: sharded engine (N=%d) diverged "
                    "from the unsharded engine\n",
                    n);
       return 2;
-    }
-    std::snprintf(name, sizeof(name), "shards=%d+bounds", n);
-    if (!LegsAgree(name, off_legs[s], on_legs[s],
-                   /*equal_nodes=*/false, /*bounded_nodes=*/true)) {
-      std::fprintf(stderr,
-                   "[shard_scaling] FAIL: cross-shard bound sharing changed "
-                   "results or raised node accesses (N=%d)\n",
-                   n);
-      return 5;
     }
   }
 
@@ -294,20 +260,10 @@ int Main(int argc, char** argv) {
   std::printf("unsharded      : %8.1f q/s, %10" PRId64 " nodes\n", qps_base,
               baseline.nodes_accessed);
   for (size_t s = 0; s < sharded.size(); ++s) {
-    const double qps_off =
-        static_cast<double>(queries) / off_legs[s].best_seconds;
-    const double qps_on =
-        static_cast<double>(queries) / on_legs[s].best_seconds;
-    const double reduction =
-        off_legs[s].nodes_accessed > 0
-            ? 1.0 - static_cast<double>(on_legs[s].nodes_accessed) /
-                        static_cast<double>(off_legs[s].nodes_accessed)
-            : 0.0;
-    std::printf("N=%d scatter    : %8.1f q/s, %10" PRId64
-                " nodes; +bounds %8.1f q/s, %10" PRId64
-                " nodes (-%.1f%%)\n",
-                kShardCounts[s], qps_off, off_legs[s].nodes_accessed,
-                qps_on, on_legs[s].nodes_accessed, 100.0 * reduction);
+    std::printf("N=%d scatter    : %8.1f q/s, %10" PRId64 " nodes\n",
+                kShardCounts[s],
+                static_cast<double>(queries) / legs[s].best_seconds,
+                legs[s].nodes_accessed);
   }
   const unsigned hardware_threads = std::thread::hardware_concurrency();
   std::printf("N=8 frontend   : %8.1f q/s (wall, %.2fx vs serial "
@@ -331,16 +287,11 @@ int Main(int argc, char** argv) {
                  baseline.nodes_accessed);
     for (size_t s = 0; s < sharded.size(); ++s) {
       const int n = kShardCounts[s];
-      std::fprintf(
-          f,
-          "  \"qps_shards%d\": %.2f,\n"
-          "  \"nodes_shards%d\": %" PRId64 ",\n"
-          "  \"qps_shards%d_bounds\": %.2f,\n"
-          "  \"nodes_shards%d_bounds\": %" PRId64 ",\n",
-          n, static_cast<double>(queries) / off_legs[s].best_seconds, n,
-          off_legs[s].nodes_accessed, n,
-          static_cast<double>(queries) / on_legs[s].best_seconds, n,
-          on_legs[s].nodes_accessed);
+      std::fprintf(f,
+                   "  \"qps_shards%d\": %.2f,\n"
+                   "  \"nodes_shards%d\": %" PRId64 ",\n",
+                   n, static_cast<double>(queries) / legs[s].best_seconds, n,
+                   legs[s].nodes_accessed);
     }
     // Wall-clock throughput of the parallel leg is a function of the
     // machine; hardware_threads makes the guard treat it as workload shape.

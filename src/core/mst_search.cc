@@ -57,11 +57,11 @@ static_assert(sizeof(QueueEntry) == 16, "heap entries stay two words");
 // true DISSIM (exact-side value for completed candidates, PESDISSIM for
 // partial ones) and answers "current kth best upper bound" queries.
 //
-// KthValue() is consulted for every processed leaf entry (Heuristic 1, the
-// batched leaf prune) and on every heap pop (Heuristic 2), so the bounds
-// are kept split into the k smallest (`topk_`) and the rest, with
-// max(topk_) <= min(rest_): the kth value is then the largest element of
-// topk_, read in O(1) instead of advancing k set nodes per call.
+// KthValue() is consulted for every processed leaf entry (Heuristic 1) and
+// on every heap pop (Heuristic 2), so the bounds are kept split into the k
+// smallest (`topk_`) and the rest, with max(topk_) <= min(rest_): the kth
+// value is then the largest element of topk_, read in O(1) instead of
+// advancing k set nodes per call.
 class UpperBounds {
  public:
   explicit UpperBounds(int k) : k_(k) {}
@@ -129,66 +129,6 @@ class UpperBounds {
   std::unordered_map<TrajectoryId, double> current_;
 };
 
-// Per-leaf batched scratch: query windows and DISSIM lower bounds for every
-// entry of one leaf, filled in a single pass over the columnar view.
-struct LeafBatchScratch {
-  std::vector<double> wbegin;
-  std::vector<double> wend;
-  std::vector<double> dur;
-  std::vector<double> lower;
-  std::vector<int> order;  // temporal argsort when the leaf is unsorted
-};
-
-// One vectorizable sweep over the leaf's columns: clip each segment's
-// lifespan against the query period and lower-bound its DISSIM contribution
-// by (spatial gap between the segment's bounding rect and the query's
-// period footprint) × (window duration). The gap under-estimates the
-// pointwise inter-object distance throughout the window, so `lower` is a
-// true lower bound of the candidate's full-period DISSIM — exactly the
-// one-sided test Heuristic 1 needs, evaluated per entry without touching
-// the trajectory store.
-//
-// `lower` holds the SQUARE of the bound: both sides of Heuristic 1's
-// comparison are non-negative, so comparing squares gives bit-identical
-// decisions while the sweep drops its per-entry sqrt (the bound's only
-// other consumer, the > 0 test, is square-invariant too).
-void ComputeLeafBatch(const LeafView& v, const TimeInterval& period,
-                      const QueryFootprint& qbox, LeafBatchScratch* s) {
-  const size_t n = static_cast<size_t>(v.count);
-  s->wbegin.resize(n);
-  s->wend.resize(n);
-  s->dur.resize(n);
-  s->lower.resize(n);
-  const double* t0 = v.t0;
-  const double* t1 = v.t1;
-  const double* x0 = v.x0;
-  const double* x1 = v.x1;
-  const double* y0 = v.y0;
-  const double* y1 = v.y1;
-  for (size_t i = 0; i < n; ++i) {
-    const double wb = t0[i] > period.begin ? t0[i] : period.begin;
-    const double we = t1[i] < period.end ? t1[i] : period.end;
-    const double d = we - wb;
-    s->wbegin[i] = wb;
-    s->wend[i] = we;
-    s->dur[i] = d;
-    const double sxlo = x0[i] < x1[i] ? x0[i] : x1[i];
-    const double sxhi = x0[i] < x1[i] ? x1[i] : x0[i];
-    const double sylo = y0[i] < y1[i] ? y0[i] : y1[i];
-    const double syhi = y0[i] < y1[i] ? y1[i] : y0[i];
-    double dx = qbox.xlo - sxhi;
-    const double dx2 = sxlo - qbox.xhi;
-    dx = dx > dx2 ? dx : dx2;
-    dx = dx > 0.0 ? dx : 0.0;
-    double dy = qbox.ylo - syhi;
-    const double dy2 = sylo - qbox.yhi;
-    dy = dy > dy2 ? dy : dy2;
-    dy = dy > 0.0 ? dy : 0.0;
-    const double gap2 = dx * dx + dy * dy;
-    s->lower[i] = d > 0.0 ? gap2 * (d * d) : 0.0;
-  }
-}
-
 }  // namespace
 
 BFMstSearch::BFMstSearch(const TrajectoryIndex* index,
@@ -225,20 +165,6 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
   const int64_t rc_hits_before = ResultCache::ThreadHits();
   const int64_t rc_misses_before = ResultCache::ThreadMisses();
 
-  // Externally seeded kth upper bound (see MstOptions). Every Heuristic 1/2
-  // comparison reads min(own kth bound, seed); with a sound seed the prune
-  // decisions only ever get strictly safer, so results are unchanged while
-  // node accesses drop. The seed is inflated by a hair of relative slack
-  // first: candidate bounds here are sums of per-piece integrals while a
-  // seed comes from full-period recomputation — the same integrals
-  // associated differently — so without the slack an ulp-level rounding
-  // difference can push a true top-k candidate's piece-sum bound past an
-  // exactly-equal seed and silently drop it. 1e-9 is ~1e4x the worst
-  // association error observed and far below any real pruning margin.
-  constexpr double kSeedAssociationSlack = 1e-9;
-  const double seed_bound =
-      options.initial_kth_upper_bound * (1.0 + kSeedAssociationSlack);
-
   std::vector<MstResult> results;
   if (index_->empty() && delta == nullptr) {
     if (stats_out != nullptr) *stats_out = stats;
@@ -270,10 +196,11 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
   std::unordered_map<TrajectoryId, CandidateList> completed;
   std::unordered_set<TrajectoryId> rejected;
   UpperBounds uppers(options.k);
-  // Reused per-leaf scratch for the batched window/lower-bound pass; the
-  // query's spatial footprint over the period is its fixed input.
-  LeafBatchScratch batch;
+  // The query's spatial footprint over the period keys pushed children by
+  // a cheap MINDIST lower bound (FootprintMinDist).
   const QueryFootprint query_box = FootprintOf(query, period);
+  // Temporal argsort of an unsorted leaf, reused across leaves.
+  std::vector<int> order_scratch;
   // Sticky skip cache: exclusion, rejection and completion are monotone over
   // one search (ids only ever enter those states), so once an id skips it
   // skips for good. TB-tree leaves bundle consecutive segments of a single
@@ -292,7 +219,7 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
     // so a lower-bound key stops the search only where the exact key of the
     // entry an all-exact queue would pop next stops it too.
     if (options.use_heuristic2) {
-      const double kth = std::min(uppers.KthValue(), seed_bound);
+      const double kth = uppers.KthValue();
       if (kth < kInf) {
         double mindissiminc = top.key * period.Duration();
         if (mindissiminc > kth) {
@@ -339,21 +266,17 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
       continue;
     }
 
-    // Leaf: stream the decoded node's columns. One vectorizable pass over
-    // the columnar view computes every entry's query window and its DISSIM
-    // lower bound (batched leaf-level pruning), then entries are processed
-    // in temporal order (the paper's line 10). TB-tree leaves carry the
-    // time-sorted header flag — iterate the columns directly; only the 3D
-    // R-tree's unsorted leaves argsort an index permutation (no entry copies
-    // either way).
+    // Leaf: stream the decoded node's columns in temporal order (the
+    // paper's line 10). TB-tree leaves carry the time-sorted header flag —
+    // iterate the columns directly; only the 3D R-tree's unsorted leaves
+    // argsort an index permutation (no entry copies either way).
     const NodeRef leaf = tree->ReadNode(top.page);
     const LeafView view = leaf->leaves.View();
-    ComputeLeafBatch(view, period, query_box, &batch);
     const int* order = nullptr;
     if (!view.time_sorted) {
-      batch.order.resize(static_cast<size_t>(view.count));
-      for (int i = 0; i < view.count; ++i) batch.order[i] = i;
-      std::sort(batch.order.begin(), batch.order.end(),
+      order_scratch.resize(static_cast<size_t>(view.count));
+      for (int i = 0; i < view.count; ++i) order_scratch[i] = i;
+      std::sort(order_scratch.begin(), order_scratch.end(),
                 [&view](int a, int b) {
                   if (view.t0[a] != view.t0[b]) return view.t0[a] < view.t0[b];
                   if (view.traj_id[a] != view.traj_id[b]) {
@@ -361,7 +284,7 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
                   }
                   return a < b;
                 });
-      order = batch.order.data();
+      order = order_scratch.data();
     }
     for (int pos = 0; pos < view.count; ++pos) {
       const int j = order != nullptr ? order[pos] : pos;
@@ -376,28 +299,11 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
         skip_id = id;
         continue;
       }
-      if (batch.dur[static_cast<size_t>(j)] <= 0.0) continue;
-      const TimeInterval window{batch.wbegin[static_cast<size_t>(j)],
-                                batch.wend[static_cast<size_t>(j)]};
+      const TimeInterval window = period.Intersect({view.t0[j], view.t1[j]});
+      if (window.Duration() <= 0.0) continue;
 
       auto it = valid.find(id);
       if (it == valid.end()) {
-        // Batched leaf-level prune (Heuristic 1's test with the precomputed
-        // per-entry lower bound): a would-be-new candidate whose bound
-        // already exceeds the current kth upper bound can never enter the
-        // top k — reject it before paying the store lookup and the
-        // refinement integral. Existing candidates keep accumulating pieces
-        // so their OPTDISSIM/PESDISSIM bookkeeping is unchanged. Both sides
-        // are squared (see ComputeLeafBatch).
-        const double kth_new = std::min(uppers.KthValue(), seed_bound);
-        if (options.use_heuristic1 &&
-            batch.lower[static_cast<size_t>(j)] > 0.0 &&
-            batch.lower[static_cast<size_t>(j)] > kth_new * kth_new) {
-          rejected.insert(id);
-          skip_id = id;
-          ++stats.leaf_entries_pruned;
-          continue;
-        }
         const Trajectory* t = store_->Find(id);
         if (t == nullptr || !t->Covers(period)) {
           rejected.insert(id);
@@ -424,7 +330,7 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
       }
       uppers.Update(id, list.PesDissim(vmax));
       if (options.use_heuristic1) {
-        const double kth = std::min(uppers.KthValue(), seed_bound);
+        const double kth = uppers.KthValue();
         if (list.OptDissim(vmax) > kth) {
           uppers.Remove(id);
           rejected.insert(id);
@@ -443,7 +349,7 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
       // trajectory; coverage-based completion stays correct (the candidate
       // completes only once pieces from both trees close the period).
       if (options.use_eager_completion && tree->SupportsTrajectoryFetch()) {
-        const double kth = std::min(uppers.KthValue(), seed_bound);
+        const double kth = uppers.KthValue();
         if (static_cast<int>(uppers.size()) <= options.k ||
             list.OptDissim(vmax) <= kth) {
           PageId chain = tree->TrajectoryChainHead(id);
@@ -511,9 +417,6 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
     std::nth_element(ups.begin(), ups.begin() + (options.k - 1), ups.end());
     kth_upper = ups[static_cast<size_t>(options.k - 1)];
   }
-  // The survivor filter below is strict (>), so a seed equal to the true kth
-  // dissimilarity keeps every tie — same guarantee as the heuristics above.
-  kth_upper = std::min(kth_upper, seed_bound);
 
   // Full-period refinement, memoized through the cross-query result cache
   // when one is attached and enabled. The fingerprint is computed lazily —

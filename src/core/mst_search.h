@@ -9,7 +9,6 @@
 #define MST_CORE_MST_SEARCH_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "src/core/dissim.h"
@@ -42,7 +41,10 @@ struct MstStats {
   int64_t candidates_created = 0;
   int64_t candidates_completed = 0;
   int64_t candidates_rejected = 0;   // by Heuristic 1
-  int64_t leaf_entries_pruned = 0;   // by the batched leaf lower-bound pass
+  /// Always 0: the batched leaf lower-bound prune it counted was removed
+  /// (it never fired beside Heuristic 1). Kept because the perfbench
+  /// harness still reads it for `core.leaf_prune_ratio`.
+  int64_t leaf_entries_pruned = 0;
   int64_t candidates_ineligible = 0; // lifespan does not cover the period
   int64_t eager_completions = 0;     // candidates completed via chain fetch
   int64_t exact_recomputations = 0;  // post-processing integrals
@@ -98,27 +100,6 @@ struct MstOptions {
   /// Trajectory id to skip (useful when the query is itself stored in the
   /// index); kInvalidTrajectoryId skips nothing.
   TrajectoryId exclude_id = kInvalidTrajectoryId;
-  /// Externally supplied upper bound on the kth-best DISSIM, used to seed
-  /// the prune bound that Heuristics 1 and 2 compare against (the search
-  /// starts from min(this, its own kth bound) instead of +inf). The query
-  /// executor seeds it from a request's cross-shard KthBoundBoard, where the
-  /// per-shard legs of one scatter-gather query publish their exact kth
-  /// values (see QueryRequest::kth_bound_board).
-  ///
-  /// Soundness contract: the value MUST be a true upper bound of the kth
-  /// smallest exact DISSIM of this query — then, with exact_postprocess on
-  /// AND an exact traversal policy (policy == kExact, so every candidate
-  /// bound is itself a lower bound of the exact value), the returned
-  /// results are byte-identical to the unseeded search (every true top-k
-  /// candidate survives all pruning: its OPTDISSIM never exceeds the
-  /// bound), only cheaper (node accesses drop). The search inflates the
-  /// seed internally by a relative slack before use, absorbing the
-  /// ulp-level difference between piece-sum bounds and a full-period
-  /// recomputation of the same integrals. A wrong (too small) bound
-  /// silently loses answers; under an approximate traversal policy the
-  /// trapezoid piece sums are not lower bounds of the exact values, so a
-  /// seed can change results. Default +inf = no seed.
-  double initial_kth_upper_bound = std::numeric_limits<double>::infinity();
 };
 
 /// k-MST search engine bound to one index + the trajectory table backing it.

@@ -59,27 +59,6 @@ QueryExecutor::~QueryExecutor() { Shutdown(DrainMode::kDrain); }
 void QueryExecutor::WorkerLoop() {
   while (std::optional<Task> task = queue_.Pop()) {
     QueryOutcome out;
-    MstOptions opts = task->request.options;
-    // Cross-executor board (scatter-gather legs of one logical query):
-    // seeded at dequeue time, so a leg queued behind earlier work starts
-    // with every bound its siblings published while it waited. Sharing is
-    // gated on exact_postprocess AND an exact traversal policy, at both
-    // ends: only exact results are published (anything else wouldn't be a
-    // sound bound), and only searches whose candidate bounds are built from
-    // exact piece integrals consume a seed. Under an approximate policy
-    // (trapezoid pieces) the traversal's OPTDISSIM-style bounds can
-    // overestimate the exact value by the quadrature error, so an
-    // exact-valued seed could prune a true top-k candidate — see
-    // MstOptions::initial_kth_upper_bound. The search inflates the seed by
-    // its relative slack internally.
-    KthBoundBoard* const shard_board =
-        opts.exact_postprocess && opts.policy == IntegrationPolicy::kExact
-            ? task->request.kth_bound_board.get()
-            : nullptr;
-    if (shard_board != nullptr) {
-      opts.initial_kth_upper_bound =
-          std::min(opts.initial_kth_upper_bound, shard_board->Current());
-    }
     // Resolve the view at dequeue time and pin it for this one search: a
     // concurrent append/merge publishes a new snapshot, never mutates this
     // one, so the query observes either all of a batch or none of it.
@@ -87,14 +66,7 @@ void QueryExecutor::WorkerLoop() {
     const BFMstSearch searcher(view.main.get(), view.source.get(),
                                &result_cache_, view.delta.get());
     out.results = searcher.Search(task->request.query, task->request.period,
-                                  opts, &out.stats);
-    if (shard_board != nullptr &&
-        out.results.size() == static_cast<size_t>(opts.k)) {
-      // Full reach only: with fewer than k results the kth value of this
-      // leg's partition does not exist, and the largest returned value
-      // bounds nothing (see KthBoundBoard's soundness contract).
-      shard_board->Publish(out.results.back().dissim);
-    }
+                                  task->request.options, &out.stats);
     completed_.fetch_add(1, std::memory_order_relaxed);
     task->promise.set_value(std::move(out));
   }

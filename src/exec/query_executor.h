@@ -26,7 +26,6 @@
 #include "src/core/mst_search.h"
 #include "src/core/result_cache.h"
 #include "src/exec/bounded_queue.h"
-#include "src/exec/kth_bound_board.h"
 #include "src/geom/interval.h"
 #include "src/geom/trajectory.h"
 #include "src/index/trajectory_index.h"
@@ -71,18 +70,6 @@ struct QueryRequest {
   Trajectory query;
   TimeInterval period;
   MstOptions options;
-  /// Optional cross-executor kth-bound board (see kth_bound_board.h). When
-  /// set AND the request runs under exact_postprocess with an exact
-  /// traversal policy, the worker seeds
-  /// MstOptions::initial_kth_upper_bound from the board's current minimum
-  /// right before the search starts (dequeue time, not submit time — a
-  /// queued request benefits from every bound published while it waited),
-  /// and publishes its own exact kth result value afterwards iff the search
-  /// returned full reach (exactly k results). The shard layer uses one
-  /// board per scatter-gather query, shared by that query's per-shard legs;
-  /// the board's soundness contract (disjoint candidate partitions of one
-  /// logical query) is the sharer's responsibility. Null = no sharing.
-  std::shared_ptr<KthBoundBoard> kth_bound_board;
 };
 
 /// What a worker produced for one request.

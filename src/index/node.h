@@ -118,7 +118,7 @@ static_assert(kLeafHeaderV2Size + sizeof(LeafBlock) == kPageSize,
 
 /// Borrowed, read-only columnar view of one leaf node's entries. Valid for
 /// as long as the owning node (NodeRef) is alive. This is what the DISSIM
-/// hot path and the batched leaf-pruning pass stream over.
+/// hot path streams over.
 struct LeafView {
   const double* t0 = nullptr;
   const double* x0 = nullptr;

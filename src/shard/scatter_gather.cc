@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/exec/kth_bound_board.h"
 #include "src/util/check.h"
 
 namespace mst {
 
-ScatterGatherSearch::ScatterGatherSearch(const ShardedIndex* index,
-                                         const ScatterGatherOptions& options)
-    : index_(index), options_(options) {
+ScatterGatherSearch::ScatterGatherSearch(const ShardedIndex* index)
+    : index_(index) {
   MST_CHECK(index != nullptr);
   searchers_.reserve(static_cast<size_t>(index->num_shards()));
   for (int s = 0; s < index->num_shards(); ++s) {
@@ -24,12 +22,6 @@ std::vector<MstResult> ScatterGatherSearch::Search(
     const Trajectory& query, const TimeInterval& period,
     const MstOptions& options, MstStats* stats,
     std::vector<MstStats>* per_shard_stats) const {
-  const bool exact_query = options.exact_postprocess &&
-                           options.policy == IntegrationPolicy::kExact;
-  const bool share = options_.share_cross_shard_bounds && exact_query &&
-                     index_->num_shards() > 1;
-  KthBoundBoard board;
-
   std::vector<std::vector<MstResult>> shard_results;
   shard_results.reserve(searchers_.size());
   std::vector<MstStats> shard_stats(searchers_.size());
@@ -42,20 +34,8 @@ std::vector<MstResult> ScatterGatherSearch::Search(
       shard_results.emplace_back();
       continue;
     }
-    MstOptions leg_options = options;
-    if (share) {
-      leg_options.initial_kth_upper_bound =
-          std::min(leg_options.initial_kth_upper_bound, board.Current());
-    }
-    std::vector<MstResult> results = searchers_[s]->Search(
-        query, period, leg_options, &shard_stats[s]);
-    if (share && results.size() == static_cast<size_t>(options.k)) {
-      // Full reach only: a shard's exact kth-best over k eligible
-      // trajectories upper-bounds the global kth-best. Fewer than k
-      // results bound nothing (see KthBoundBoard).
-      board.Publish(results.back().dissim);
-    }
-    shard_results.push_back(std::move(results));
+    shard_results.push_back(
+        searchers_[s]->Search(query, period, options, &shard_stats[s]));
   }
 
   if (stats != nullptr) *stats = AggregateShardStats(shard_stats);

@@ -12,17 +12,10 @@
 // the same trajectory samples, hence bitwise identical to the unsharded
 // search for every shard count (bench_shard_scaling gates on this).
 //
-// Cross-shard bound sharing: shard legs of one query run in sequence on
-// the calling thread (the shard stacks are single-threaded by design;
-// cross-query parallelism lives in ShardFrontEnd). A leg that completes
-// with full reach publishes its exact kth dissim to a KthBoundBoard, and
-// every later leg seeds MstOptions::initial_kth_upper_bound from the
-// board — a shard's kth-best over k globally-eligible trajectories is a
-// true upper bound of the GLOBAL kth-best, so laggard shards prune
-// candidates that cannot enter the merged top-k. Gated on
-// exact_postprocess && policy == kExact at both ends (the PR 5 soundness
-// gate: trapezoid piece sums are not lower bounds of exact values); the
-// search inflates incoming seeds by its relative slack internally.
+// Shard legs of one query run in sequence on the calling thread (the shard
+// stacks are single-threaded by design; cross-query parallelism lives in
+// ShardFrontEnd). Each leg searches its shard independently, so its stats
+// depend only on (shard, query, options), never on the other legs.
 
 #ifndef MST_SHARD_SCATTER_GATHER_H_
 #define MST_SHARD_SCATTER_GATHER_H_
@@ -35,18 +28,11 @@
 
 namespace mst {
 
-struct ScatterGatherOptions {
-  /// Cross-shard kth-bound sharing (see header comment). Never changes
-  /// results; only node accesses. Off = every leg searches unseeded.
-  bool share_cross_shard_bounds = true;
-};
-
 class ScatterGatherSearch {
  public:
   /// `index` is not owned and must outlive the searcher (as must the
   /// shard stores and result caches it references).
-  explicit ScatterGatherSearch(const ShardedIndex* index,
-                               const ScatterGatherOptions& options = {});
+  explicit ScatterGatherSearch(const ShardedIndex* index);
 
   ScatterGatherSearch(const ScatterGatherSearch&) = delete;
   ScatterGatherSearch& operator=(const ScatterGatherSearch&) = delete;
@@ -78,7 +64,6 @@ class ScatterGatherSearch {
 
  private:
   const ShardedIndex* index_;
-  ScatterGatherOptions options_;
   // One searcher per shard, bound to the shard's stack at construction.
   std::vector<std::unique_ptr<BFMstSearch>> searchers_;
 };

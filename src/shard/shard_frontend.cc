@@ -98,23 +98,12 @@ std::future<QueryOutcome> ShardFrontEnd::Submit(QueryRequest request) {
     ++in_flight_;
   }
 
-  // One fresh bound board per query, shared by its shard legs; the
-  // executor applies the exact-policy gate at both seed and publish (see
-  // QueryRequest::kth_bound_board), so handing a board to a non-exact
-  // query is inert rather than unsound.
-  std::shared_ptr<KthBoundBoard> board;
-  if (options_.share_cross_shard_bounds && num_shards() > 1) {
-    board = std::make_shared<KthBoundBoard>();
-  }
-
   GatherTask gather;
   gather.k = request.options.k;
   gather.legs.reserve(executors_.size());
   std::future<QueryOutcome> future = gather.promise.get_future();
   for (std::unique_ptr<QueryExecutor>& executor : executors_) {
-    QueryRequest leg = request;
-    leg.kth_bound_board = board;
-    gather.legs.push_back(executor->Submit(std::move(leg)));
+    gather.legs.push_back(executor->Submit(request));
   }
   if (!gather_queue_.Push(std::move(gather))) {
     // Raced with Shutdown after fan-out: the legs will still drain inside

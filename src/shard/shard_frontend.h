@@ -18,14 +18,9 @@
 // shedding). Below the front door, the per-shard bounded queues add a
 // second, finer backpressure: a slow shard throttles fan-out onto it.
 //
-// Cross-shard bound sharing: the legs of one exact query share a
-// KthBoundBoard (see kth_bound_board.h). A leg is seeded when its shard
-// worker DEQUEUES it, so under load — shard queues deep, shards drifting
-// apart — a laggard shard's leg starts with every bound the fast shards
-// published meanwhile. Gated on exact_postprocess && policy == kExact at
-// both ends; results are identical to sharing off, only node accesses
-// drop. Per-query stats then depend on leg timing (a faster sibling shard
-// means more pruning), so tests that lock stats bitwise turn sharing off.
+// The legs of one query search their shards independently, so per-query
+// results and stats are free of scheduling effects under every policy:
+// they equal a serial ScatterGatherSearch over the same ShardedIndex.
 
 #ifndef MST_SHARD_SHARD_FRONTEND_H_
 #define MST_SHARD_SHARD_FRONTEND_H_
@@ -59,8 +54,6 @@ class ShardFrontEnd {
     /// control, per-shard queues still bound the fan-out).
     int max_in_flight_queries = 256;
     AdmissionPolicy admission_policy = AdmissionPolicy::kBlock;
-    /// Cross-shard kth-bound sharing for exact queries (see header).
-    bool share_cross_shard_bounds = true;
     /// Per-shard-executor cross-query result-cache entries (each shard
     /// worker owns one; 0 disables them).
     size_t result_cache_entries = 1 << 12;
@@ -87,8 +80,7 @@ class ShardFrontEnd {
 
   /// Admits (or rejects) one query and fans it out to every shard. The
   /// future resolves with the merged top-k and exact aggregated stats once
-  /// every shard leg completed. `request.kth_bound_board` is overwritten by
-  /// the front-end (one fresh board per query). Thread-safe.
+  /// every shard leg completed. Thread-safe.
   std::future<QueryOutcome> Submit(QueryRequest request);
 
   /// Runs every request and returns outcomes in request order. Blocking

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/core/linear_scan.h"
@@ -321,6 +322,59 @@ TEST(MstSearchEdgeTest, SubPeriodQueriesWork) {
   EXPECT_NEAR(got[0].dissim, want[0].dissim, 1e-9);
 }
 
+TEST(MstSearchEdgeTest, PeriodOnSampleTimesMatchesLinearScanOnEveryBackend) {
+  // Regular sampling (no jitter) puts every trajectory on one time grid, so
+  // a period ending on a sample time meets the next segment of every object
+  // in a single instant: each leaf entry's window must clip to an empty or
+  // zero-length piece there and contribute nothing.
+  GstdOptions opt;
+  opt.num_objects = 30;
+  opt.samples_per_object = 80;
+  opt.timestamp_jitter = 0.0;
+  opt.seed = 47;
+  const TrajectoryStore store = GenerateGstd(opt);
+  RTree3D rtree;
+  rtree.BuildFrom(store);
+  TBTree tbtree;
+  tbtree.BuildFrom(store);
+  STRTree strtree;
+  strtree.BuildFrom(store);
+
+  // The query shares the grid: a stored trajectory's sample times with
+  // perturbed positions.
+  const Trajectory& base = store.trajectories()[7];
+  std::vector<TPoint> samples = base.samples();
+  Rng rng(4747);
+  for (TPoint& p : samples) {
+    p.p.x += rng.Uniform(-0.02, 0.02);
+    p.p.y += rng.Uniform(-0.02, 0.02);
+  }
+  const Trajectory query(9999, std::move(samples));
+
+  const std::pair<size_t, size_t> bounds[] = {
+      {0, 79}, {10, 20}, {1, 2}, {40, 79}};
+  const TrajectoryIndex* const indexes[] = {&rtree, &tbtree, &strtree};
+  MstOptions options;
+  options.k = 5;
+  for (const auto& [lo, hi] : bounds) {
+    const TimeInterval period{base.sample(lo).t, base.sample(hi).t};
+    const std::vector<MstResult> want = LinearScanKMst(
+        store, query, period, options.k, IntegrationPolicy::kExact);
+    for (const TrajectoryIndex* index : indexes) {
+      const BFMstSearch searcher(index, &store);
+      const std::vector<MstResult> got =
+          searcher.Search(query, period, options);
+      ASSERT_EQ(got.size(), want.size()) << "samples " << lo << ".." << hi;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id)
+            << "samples " << lo << ".." << hi << " rank " << i;
+        EXPECT_EQ(got[i].dissim, want[i].dissim)
+            << "samples " << lo << ".." << hi << " rank " << i;
+      }
+    }
+  }
+}
+
 TEST(MstSearchEdgeDeathTest, RejectsBadArguments) {
   TrajectoryStore store;
   RTree3D tree;
@@ -357,7 +411,6 @@ struct TraversalRecord {
   int64_t candidates_completed;
   int64_t candidates_rejected;
   int64_t candidates_ineligible;
-  int64_t leaf_entries_pruned;
   int64_t eager_completions;
   bool terminated_by_heuristic2;
   std::vector<TrajectoryId> ids;
@@ -367,131 +420,131 @@ struct TraversalRecord {
 const std::vector<TraversalRecord>& GoldenTraversals() {
   static const std::vector<TraversalRecord> kGolden = {
       // Recorded with all-exact MINDIST keys, before lazy keys.
-      {"rtree", 0, 6, 202, 28, 20, 2, 4, 0, 0, 0, true,
+      {"rtree", 0, 6, 202, 28, 20, 2, 4, 0, 0, true,
        {62},
        {0.0010224373677871681}},
-      {"rtree", 1, 61, 2452, 116, 70, 6, 34, 0, 0, 0, true,
+      {"rtree", 1, 61, 2452, 116, 70, 6, 34, 0, 0, true,
        {26, 11, 69, 6, 8},
        {0.002926219114069312, 0.029398527089063625, 0.042215307410129493,
         0.046465645870142305, 0.054091450208667381}},
-      {"rtree", 2, 122, 5341, 136, 80, 16, 60, 0, 0, 0, true,
+      {"rtree", 2, 122, 5341, 136, 80, 16, 60, 0, 0, true,
        {6, 8, 26, 39, 43, 74, 41, 36, 24, 77, 66, 42},
        {0.0055578095126442651, 0.051530759838862648, 0.07996821107985215,
         0.090745471281077877, 0.091533676678880099, 0.10031467792839935,
         0.10116419421260568, 0.10990402739065257, 0.11494667709090622,
         0.11536499988991239, 0.11641846607675002, 0.12134722944450915}},
-      {"rtree", 3, 10, 321, 40, 19, 1, 17, 0, 3, 0, true,
+      {"rtree", 3, 10, 321, 40, 22, 1, 20, 0, 0, true,
        {76},
        {0.0011036401780152849}},
-      {"rtree", 4, 64, 2608, 117, 74, 5, 44, 0, 0, 0, true,
+      {"rtree", 4, 64, 2608, 117, 74, 5, 44, 0, 0, true,
        {26, 11, 69, 6, 35},
        {0.0034132524237517597, 0.031159304413598873, 0.034616759305948694,
         0.045490166281542989, 0.049992975802434572}},
-      {"rtree", 5, 121, 5217, 143, 80, 17, 56, 0, 0, 0, true,
+      {"rtree", 5, 121, 5217, 143, 80, 17, 56, 0, 0, true,
        {69, 35, 30, 4, 57, 60, 68, 26, 11, 73, 15, 66},
        {0.0053035062439547587, 0.063452342403361908, 0.096968735990582713,
         0.10197982445452373, 0.10655794316315835, 0.10858552590976628,
         0.11128601528321859, 0.11261702247811774, 0.11317808532681897,
         0.11950862675049419, 0.12018472148263575, 0.12174301294506487}},
-      {"tbtree", 0, 22, 1368, 83, 19, 3, 16, 0, 0, 0, true,
+      {"tbtree", 0, 22, 1368, 83, 19, 3, 16, 0, 0, true,
        {62},
        {0.0010224373677871681}},
-      {"tbtree", 1, 65, 4464, 83, 62, 16, 46, 0, 0, 0, true,
+      {"tbtree", 1, 65, 4464, 83, 62, 16, 46, 0, 0, true,
        {26, 11, 69, 6, 8},
        {0.002926219114069312, 0.029398527089063625, 0.042215307410129493,
         0.046465645870142305, 0.054091450208667381}},
-      {"tbtree", 2, 134, 6010, 164, 80, 16, 58, 0, 0, 0, true,
+      {"tbtree", 2, 134, 6010, 164, 80, 16, 58, 0, 0, true,
        {6, 8, 26, 39, 43, 74, 41, 36, 24, 77, 66, 42},
        {0.0055578095126442651, 0.051530759838862648, 0.07996821107985215,
         0.090745471281077877, 0.091533676678880099, 0.10031467792839935,
         0.10116419421260568, 0.10990402739065257, 0.11494667709090622,
         0.11536499988991239, 0.11641846607675002, 0.12134722944450915}},
-      {"tbtree", 3, 63, 4248, 164, 32, 2, 29, 0, 16, 0, true,
+      {"tbtree", 3, 63, 4248, 164, 48, 2, 45, 0, 0, true,
        {76},
        {0.0011036401780152849}},
-      {"tbtree", 4, 110, 7632, 164, 66, 10, 45, 0, 0, 0, true,
+      {"tbtree", 4, 110, 7632, 164, 66, 10, 45, 0, 0, true,
        {26, 11, 69, 6, 35},
        {0.0034132524237517597, 0.031159304413598873, 0.034616759305948694,
         0.045490166281542989, 0.049992975802434572}},
-      {"tbtree", 5, 73, 5040, 83, 70, 25, 45, 0, 0, 0, true,
+      {"tbtree", 5, 73, 5040, 83, 70, 25, 45, 0, 0, true,
        {69, 35, 30, 4, 57, 60, 68, 26, 11, 73, 15, 66},
        {0.0053035062439547587, 0.063452342403361908, 0.096968735990582713,
         0.10197982445452373, 0.10655794316315835, 0.10858552590976628,
         0.11128601528321859, 0.11261702247811774, 0.11317808532681897,
         0.11950862675049419, 0.12018472148263575, 0.12174301294506487}},
-      {"tbtree_eager", 0, 73, 1623, 83, 19, 17, 2, 0, 0, 17, true,
+      {"tbtree_eager", 0, 73, 1623, 83, 19, 17, 2, 0, 17, true,
        {62},
        {0.0010224373677871681}},
-      {"tbtree_eager", 1, 251, 6765, 83, 62, 62, 0, 0, 0, 62, true,
+      {"tbtree_eager", 1, 251, 6765, 83, 62, 62, 0, 0, 62, true,
        {26, 11, 69, 6, 8},
        {0.002926219114069312, 0.029398527089063625, 0.042215307410129493,
         0.046465645870142305, 0.054091450208667381}},
-      {"tbtree_eager", 2, 345, 10506, 164, 79, 79, 0, 0, 0, 79, true,
+      {"tbtree_eager", 2, 345, 10506, 164, 79, 79, 0, 0, 79, true,
        {6, 8, 26, 39, 43, 74, 41, 36, 24, 77, 66, 42},
        {0.0055578095126442651, 0.051530759838862648, 0.07996821107985215,
         0.090745471281077877, 0.091533676678880099, 0.10031467792839935,
         0.10116419421260568, 0.10990402739065257, 0.11494667709090622,
         0.11536499988991239, 0.11641846607675002, 0.12134722944450915}},
-      {"tbtree_eager", 3, 135, 4604, 164, 31, 24, 7, 0, 17, 24, true,
+      {"tbtree_eager", 3, 135, 4604, 164, 48, 24, 24, 0, 24, true,
        {76},
        {0.0011036401780152849}},
-      {"tbtree_eager", 4, 308, 10074, 164, 66, 66, 0, 0, 0, 66, true,
+      {"tbtree_eager", 4, 308, 10074, 164, 66, 66, 0, 0, 66, true,
        {26, 11, 69, 6, 35},
        {0.0034132524237517597, 0.031159304413598873, 0.034616759305948694,
         0.045490166281542989, 0.049992975802434572}},
-      {"tbtree_eager", 5, 283, 9206, 83, 70, 70, 0, 0, 0, 70, true,
+      {"tbtree_eager", 5, 283, 9206, 83, 70, 70, 0, 0, 70, true,
        {69, 35, 30, 4, 57, 60, 68, 26, 11, 73, 15, 66},
        {0.0053035062439547587, 0.063452342403361908, 0.096968735990582713,
         0.10197982445452373, 0.10655794316315835, 0.10858552590976628,
         0.11128601528321859, 0.11261702247811774, 0.11317808532681897,
         0.11950862675049419, 0.12018472148263575, 0.12174301294506487}},
-      {"strtree", 0, 22, 1368, 83, 16, 2, 14, 0, 3, 0, true,
+      {"strtree", 0, 22, 1368, 83, 19, 2, 17, 0, 0, true,
        {62},
        {0.0010224373677871681}},
-      {"strtree", 1, 67, 4464, 85, 62, 13, 49, 0, 0, 0, true,
+      {"strtree", 1, 67, 4464, 85, 62, 13, 49, 0, 0, true,
        {26, 11, 69, 6, 8},
        {0.002926219114069312, 0.029398527089063625, 0.042215307410129493,
         0.046465645870142305, 0.054091450208667381}},
-      {"strtree", 2, 135, 6010, 165, 80, 16, 59, 0, 0, 0, true,
+      {"strtree", 2, 135, 6010, 165, 80, 16, 59, 0, 0, true,
        {6, 8, 26, 39, 43, 74, 41, 36, 24, 77, 66, 42},
        {0.0055578095126442651, 0.051530759838862648, 0.07996821107985215,
         0.090745471281077877, 0.091533676678880099, 0.10031467792839935,
         0.10116419421260568, 0.10990402739065257, 0.11494667709090622,
         0.11536499988991239, 0.11641846607675002, 0.12134722944450915}},
-      {"strtree", 3, 64, 4248, 165, 31, 1, 28, 0, 17, 0, true,
+      {"strtree", 3, 64, 4248, 165, 48, 1, 45, 0, 0, true,
        {76},
        {0.0011036401780152849}},
-      {"strtree", 4, 111, 7632, 165, 66, 9, 46, 0, 0, 0, true,
+      {"strtree", 4, 111, 7632, 165, 66, 9, 46, 0, 0, true,
        {26, 11, 69, 6, 35},
        {0.0034132524237517597, 0.031159304413598873, 0.034616759305948694,
         0.045490166281542989, 0.049992975802434572}},
-      {"strtree", 5, 75, 5040, 85, 70, 27, 43, 0, 0, 0, true,
+      {"strtree", 5, 75, 5040, 85, 70, 27, 43, 0, 0, true,
        {69, 35, 30, 4, 57, 60, 68, 26, 11, 73, 15, 66},
        {0.0053035062439547587, 0.063452342403361908, 0.096968735990582713,
         0.10197982445452373, 0.10655794316315835, 0.10858552590976628,
         0.11128601528321859, 0.11261702247811774, 0.11317808532681897,
         0.11950862675049419, 0.12018472148263575, 0.12174301294506487}},
-      {"forest", 0, 10, 504, 37, 31, 3, 12, 0, 5, 0, true,
+      {"forest", 0, 10, 504, 37, 36, 3, 17, 0, 0, true,
        {62},
        {0.0010224373677871681}},
-      {"forest", 1, 49, 3096, 74, 80, 6, 59, 0, 0, 0, true,
+      {"forest", 1, 49, 3096, 74, 80, 6, 59, 0, 0, true,
        {26, 11, 69, 6, 8},
        {0.002926219114069312, 0.029398527089063625, 0.042215307410129493,
         0.046465645870142305, 0.054091450208667381}},
-      {"forest", 2, 82, 5560, 87, 80, 17, 62, 0, 0, 0, true,
+      {"forest", 2, 82, 5560, 87, 80, 17, 62, 0, 0, true,
        {6, 8, 26, 39, 43, 74, 41, 36, 24, 77, 66, 42},
        {0.0055578095126442651, 0.051530759838862648, 0.07996821107985215,
         0.090745471281077877, 0.091533676678880099, 0.10031467792839935,
         0.10116419421260568, 0.10990402739065257, 0.11494667709090622,
         0.11536499988991239, 0.11641846607675002, 0.12134722944450915}},
-      {"forest", 3, 12, 576, 38, 37, 2, 23, 0, 4, 0, true,
+      {"forest", 3, 12, 576, 38, 41, 2, 27, 0, 0, true,
        {76},
        {0.0011036401780152849}},
-      {"forest", 4, 54, 3456, 74, 80, 6, 70, 0, 0, 0, true,
+      {"forest", 4, 54, 3456, 74, 80, 6, 70, 0, 0, true,
        {26, 11, 69, 6, 35},
        {0.0034132524237517597, 0.031159304413598873, 0.034616759305948694,
         0.045490166281542989, 0.049992975802434572}},
-      {"forest", 5, 78, 5328, 87, 80, 16, 64, 0, 0, 0, true,
+      {"forest", 5, 78, 5328, 87, 80, 16, 64, 0, 0, true,
        {69, 35, 30, 4, 57, 60, 68, 26, 11, 73, 15, 66},
        {0.0053035062439547587, 0.063452342403361908, 0.096968735990582713,
         0.10197982445452373, 0.10655794316315835, 0.10858552590976628,
@@ -504,11 +557,11 @@ const std::vector<TraversalRecord>& GoldenTraversals() {
 void PrintRecord(const TraversalRecord& r) {
   std::printf("      {\"%s\", %d, %" PRId64 ", %" PRId64 ", %" PRId64
               ", %" PRId64 ", %" PRId64 ", %" PRId64 ", %" PRId64
-              ", %" PRId64 ", %" PRId64 ", %s,\n       {",
+              ", %" PRId64 ", %s,\n       {",
               r.config, r.query, r.nodes_accessed, r.leaf_entries_seen,
               r.heap_pushes, r.candidates_created, r.candidates_completed,
               r.candidates_rejected, r.candidates_ineligible,
-              r.leaf_entries_pruned, r.eager_completions,
+              r.eager_completions,
               r.terminated_by_heuristic2 ? "true" : "false");
   for (size_t i = 0; i < r.ids.size(); ++i) {
     std::printf("%s%" PRId64, i == 0 ? "" : ", ", r.ids[i]);
@@ -583,8 +636,8 @@ TEST(MstTraversalLockTest, CountersAndAnswersMatchGoldenTable) {
       TraversalRecord r{c.name, q, st.nodes_accessed, st.leaf_entries_seen,
                         st.heap_pushes, st.candidates_created,
                         st.candidates_completed, st.candidates_rejected,
-                        st.candidates_ineligible, st.leaf_entries_pruned,
-                        st.eager_completions, st.terminated_by_heuristic2,
+                        st.candidates_ineligible, st.eager_completions,
+                        st.terminated_by_heuristic2,
                         {}, {}};
       for (const MstResult& m : got) {
         r.ids.push_back(m.id);
@@ -607,7 +660,6 @@ TEST(MstTraversalLockTest, CountersAndAnswersMatchGoldenTable) {
            g.candidates_completed == o.candidates_completed &&
            g.candidates_rejected == o.candidates_rejected &&
            g.candidates_ineligible == o.candidates_ineligible &&
-           g.leaf_entries_pruned == o.leaf_entries_pruned &&
            g.eager_completions == o.eager_completions &&
            g.terminated_by_heuristic2 == o.terminated_by_heuristic2 &&
            g.ids == o.ids && g.dissims.size() == o.dissims.size();

@@ -2,8 +2,8 @@
 // exact counter accounting, write-version invalidation (unit and end-to-end
 // through TrajectoryIndex::Insert), the tentpole byte-identity guarantee
 // (results AND node-access metrics unchanged with the cache on or off, across
-// every integration policy), the seeded kth-bound contract, and a
-// reader/writer hammer meant to run under TSan (-DMST_SANITIZE=thread).
+// every integration policy), and a reader/writer hammer meant to run under
+// TSan (-DMST_SANITIZE=thread).
 
 #include <gtest/gtest.h>
 
@@ -285,50 +285,6 @@ TEST(ResultCacheTest, IndexInsertInvalidatesCachedRefinements) {
   for (size_t j = 0; j < third.size(); ++j) {
     EXPECT_EQ(third[j].id, oracle[j].id);
     EXPECT_EQ(third[j].dissim, oracle[j].dissim);
-  }
-}
-
-TEST(ResultCacheTest, SoundSeededBoundKeepsResultsIdentical) {
-  GstdOptions opt;
-  opt.num_objects = 60;
-  opt.samples_per_object = 120;
-  opt.seed = 31;
-  const TrajectoryStore store = GenerateGstd(opt);
-  TBTree index;
-  index.BuildFrom(store);
-  const BFMstSearch search(&index, &store);
-
-  Rng rng(37);
-  for (int i = 0; i < 6; ++i) {
-    const Trajectory& q =
-        store.trajectories()[rng.UniformIndex(store.trajectories().size())];
-    MstOptions q_opt;
-    q_opt.k = 5;
-    q_opt.exclude_id = q.id();
-    MstStats unseeded_stats;
-    const std::vector<MstResult> unseeded =
-        search.Search(q, q.Lifespan(), q_opt, &unseeded_stats);
-    ASSERT_EQ(unseeded.size(), static_cast<size_t>(q_opt.k));
-
-    // Any true upper bound of the kth dissim is admissible, including the
-    // exact kth value itself (the heuristics' comparisons are strict).
-    for (const double slack : {1.0, 1.5}) {
-      MstOptions seeded_opt = q_opt;
-      seeded_opt.initial_kth_upper_bound = unseeded.back().dissim * slack;
-      MstStats seeded_stats;
-      const std::vector<MstResult> seeded =
-          search.Search(q, q.Lifespan(), seeded_opt, &seeded_stats);
-      ASSERT_EQ(seeded.size(), unseeded.size());
-      for (size_t j = 0; j < seeded.size(); ++j) {
-        EXPECT_EQ(seeded[j].id, unseeded[j].id);
-        EXPECT_EQ(seeded[j].dissim, unseeded[j].dissim);
-        EXPECT_EQ(seeded[j].error_bound, unseeded[j].error_bound);
-      }
-      // The seed can only make pruning safer-or-equal, never more work.
-      EXPECT_LE(seeded_stats.nodes_accessed, unseeded_stats.nodes_accessed);
-      EXPECT_LE(seeded_stats.exact_recomputations,
-                unseeded_stats.exact_recomputations);
-    }
   }
 }
 

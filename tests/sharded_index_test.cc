@@ -1,21 +1,20 @@
 // Sharded scatter-gather k-MST tests: the partitioned index must be
 // indistinguishable from the unsharded one — identical results for every
 // shard count (bitwise, under exact refinement), exact per-(query, shard)
-// stats aggregation, a sound cross-shard bound board, and a front-end
-// whose admission control and shutdown never strand a caller.
+// stats aggregation, and a front-end whose results and stats equal the
+// serial scatter-gather and whose admission control and shutdown never
+// strand a caller.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "src/core/mst_search.h"
-#include "src/exec/kth_bound_board.h"
 #include "src/gen/gstd.h"
 #include "src/index/rtree3d.h"
 #include "src/index/tbtree.h"
@@ -173,21 +172,17 @@ TEST_F(ScatterGatherTest, ResultIdentityAcrossShardCountsAndPolicies) {
   const std::vector<QueryRequest> requests =
       MakeRequests(*store_, 12, 4, 9001);
   for (const std::unique_ptr<ShardedIndex>& sharded : sharded_) {
-    for (const bool share : {false, true}) {
-      ScatterGatherOptions sg_opt;
-      sg_opt.share_cross_shard_bounds = share;
-      const ScatterGatherSearch search(sharded.get(), sg_opt);
-      for (const QueryRequest& request : requests) {
-        for (const IntegrationPolicy policy :
-             {IntegrationPolicy::kTrapezoid, IntegrationPolicy::kExact}) {
-          MstOptions options = request.options;
-          options.policy = policy;
-          const std::vector<MstResult> expected =
-              oracle.Search(request.query, request.period, options);
-          const std::vector<MstResult> merged =
-              search.Search(request.query, request.period, options);
-          ExpectSameResults(expected, merged, "scatter-gather");
-        }
+    const ScatterGatherSearch search(sharded.get());
+    for (const QueryRequest& request : requests) {
+      for (const IntegrationPolicy policy :
+           {IntegrationPolicy::kTrapezoid, IntegrationPolicy::kExact}) {
+        MstOptions options = request.options;
+        options.policy = policy;
+        const std::vector<MstResult> expected =
+            oracle.Search(request.query, request.period, options);
+        const std::vector<MstResult> merged =
+            search.Search(request.query, request.period, options);
+        ExpectSameResults(expected, merged, "scatter-gather");
       }
     }
   }
@@ -224,9 +219,7 @@ TEST_F(ScatterGatherTest, StatsAggregateExactlyPerQueryAndShard) {
   // Satellite lock: MstStats.node_accesses of a sharded query must equal
   // the sum of its per-(query, shard) deltas — the thread-local counters
   // isolate each leg even though all legs run through the same code.
-  ScatterGatherOptions sg_opt;
-  sg_opt.share_cross_shard_bounds = false;  // leg stats must be schedule-free
-  const ScatterGatherSearch search(sharded_[2].get(), sg_opt);  // N=8
+  const ScatterGatherSearch search(sharded_[2].get());  // N=8
   const std::vector<QueryRequest> requests = MakeRequests(*store_, 6, 4, 99);
   for (const QueryRequest& request : requests) {
     MstStats total;
@@ -253,31 +246,6 @@ TEST_F(ScatterGatherTest, StatsAggregateExactlyPerQueryAndShard) {
     EXPECT_EQ(total.exact_recomputations, recomputations);
     EXPECT_GT(total.nodes_accessed, 0);
     EXPECT_EQ(total.total_nodes, sharded_[2]->NodeCount());
-  }
-}
-
-TEST_F(ScatterGatherTest, CrossShardBoundSharingOnlyEverPrunesMore) {
-  // Exact queries with sharing on must return identical results with no
-  // more node accesses than sharing off (a sound bound only prunes).
-  ScatterGatherOptions off_opt;
-  off_opt.share_cross_shard_bounds = false;
-  ScatterGatherOptions on_opt;
-  on_opt.share_cross_shard_bounds = true;
-  const ScatterGatherSearch off(sharded_[2].get(), off_opt);  // N=8
-  const ScatterGatherSearch on(sharded_[2].get(), on_opt);
-  const std::vector<QueryRequest> requests =
-      MakeRequests(*store_, 10, 4, 123);
-  for (const QueryRequest& request : requests) {
-    MstOptions options = request.options;
-    options.policy = IntegrationPolicy::kExact;
-    MstStats off_stats;
-    const std::vector<MstResult> expected =
-        off.Search(request.query, request.period, options, &off_stats);
-    MstStats on_stats;
-    const std::vector<MstResult> shared =
-        on.Search(request.query, request.period, options, &on_stats);
-    ExpectSameResults(expected, shared, "sharing");
-    EXPECT_LE(on_stats.nodes_accessed, off_stats.nodes_accessed);
   }
 }
 
@@ -333,77 +301,6 @@ TEST(ScatterGatherSmallTest, EmptyShardsAndKBeyondShardCandidates) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardBoundBoardTest — the cross-shard bound board.
-
-TEST(ShardBoundBoardTest, AtomicMinSemantics) {
-  KthBoundBoard board;
-  EXPECT_EQ(board.Current(), std::numeric_limits<double>::infinity());
-  board.Publish(5.0);
-  EXPECT_EQ(board.Current(), 5.0);
-  board.Publish(7.0);  // larger: ignored
-  EXPECT_EQ(board.Current(), 5.0);
-  board.Publish(2.5);
-  EXPECT_EQ(board.Current(), 2.5);
-  board.Publish(0.0);
-  EXPECT_EQ(board.Current(), 0.0);
-  // Unusable bounds never poison the board.
-  board.Publish(std::numeric_limits<double>::quiet_NaN());
-  board.Publish(-1.0);
-  board.Publish(std::numeric_limits<double>::infinity());
-  EXPECT_EQ(board.Current(), 0.0);
-  EXPECT_EQ(board.publish_count(), 7);  // every call counts, ignored or not
-  board.Publish(3.0);
-  EXPECT_EQ(board.publish_count(), 8);
-  EXPECT_EQ(board.Current(), 0.0);
-}
-
-TEST(ShardBoundBoardTest, ConcurrentPublishersConvergeToGlobalMin) {
-  // TSan hammer: 8 publishers race 4 readers on one board; the board must
-  // end at the global minimum and readers must only ever observe values
-  // some publisher actually wrote (or +inf).
-  KthBoundBoard board;
-  constexpr int kPublishers = 8;
-  constexpr int kValuesPerPublisher = 4000;
-  std::atomic<bool> stop{false};
-  double global_min = std::numeric_limits<double>::infinity();
-  std::vector<std::vector<double>> values(kPublishers);
-  for (int p = 0; p < kPublishers; ++p) {
-    Rng rng(1000 + static_cast<uint64_t>(p));
-    values[p].reserve(kValuesPerPublisher);
-    for (int i = 0; i < kValuesPerPublisher; ++i) {
-      const double v = rng.Uniform(0.5, 100.0);
-      values[p].push_back(v);
-      global_min = std::min(global_min, v);
-    }
-  }
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&board, &stop] {
-      double last = std::numeric_limits<double>::infinity();
-      while (!stop.load(std::memory_order_relaxed)) {
-        const double cur = board.Current();
-        EXPECT_LE(cur, last) << "board went up";
-        last = cur;
-      }
-    });
-  }
-  std::vector<std::thread> publishers;
-  for (int p = 0; p < kPublishers; ++p) {
-    publishers.emplace_back([&board, &values, p] {
-      for (const double v : values[static_cast<size_t>(p)]) {
-        board.Publish(v);
-      }
-    });
-  }
-  for (std::thread& t : publishers) t.join();
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& t : readers) t.join();
-  EXPECT_EQ(board.Current(), global_min);
-  EXPECT_EQ(board.publish_count(),
-            static_cast<int64_t>(kPublishers) * kValuesPerPublisher);
-}
-
-// ---------------------------------------------------------------------------
 // ShardFrontEndTest — scatter-gather as a service.
 
 class ShardFrontEndTest : public ::testing::Test {
@@ -431,63 +328,57 @@ TrajectoryStore* ShardFrontEndTest::store_ = nullptr;
 ShardedIndex* ShardFrontEndTest::sharded_ = nullptr;
 
 TEST_F(ShardFrontEndTest, BatchMatchesSerialScatterGatherExactly) {
-  const std::vector<QueryRequest> requests =
-      MakeRequests(*store_, 24, 4, 777);
-  // Sharing off so per-shard traversal work — and with it the aggregated
-  // stats — is schedule-independent and comparable bitwise.
-  ScatterGatherOptions sg_opt;
-  sg_opt.share_cross_shard_bounds = false;
-  const ScatterGatherSearch serial(sharded_, sg_opt);
-  std::vector<std::vector<MstResult>> expected_results;
-  std::vector<MstStats> expected_stats;
-  for (const QueryRequest& request : requests) {
-    MstStats stats;
-    expected_results.push_back(
-        serial.Search(request.query, request.period, request.options,
-                      &stats));
-    expected_stats.push_back(stats);
-  }
+  // Default options on both sides and under both policies: each shard leg
+  // searches independently, so the aggregated per-query stats — not only
+  // the results — equal the serial run's whatever the leg scheduling.
+  const ScatterGatherSearch serial(sharded_);
+  for (const IntegrationPolicy policy :
+       {IntegrationPolicy::kTrapezoid, IntegrationPolicy::kExact}) {
+    std::vector<QueryRequest> requests = MakeRequests(*store_, 24, 4, 777);
+    for (QueryRequest& request : requests) request.options.policy = policy;
+    std::vector<std::vector<MstResult>> expected_results;
+    std::vector<MstStats> expected_stats;
+    for (const QueryRequest& request : requests) {
+      MstStats stats;
+      expected_results.push_back(serial.Search(
+          request.query, request.period, request.options, &stats));
+      expected_stats.push_back(stats);
+    }
 
-  ShardFrontEnd::Options fe_opt;
-  fe_opt.share_cross_shard_bounds = false;
-  fe_opt.result_cache_entries = 0;
-  ShardFrontEnd frontend(sharded_, fe_opt);
-  ASSERT_EQ(frontend.num_shards(), 4);
-  const std::vector<QueryOutcome> outcomes = frontend.RunBatch(requests);
-  ASSERT_EQ(outcomes.size(), requests.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    EXPECT_FALSE(outcomes[i].cancelled);
-    EXPECT_FALSE(outcomes[i].rejected);
-    ExpectSameResults(expected_results[i], outcomes[i].results, "frontend");
-    EXPECT_EQ(outcomes[i].stats.nodes_accessed,
-              expected_stats[i].nodes_accessed)
-        << "query " << i;
-    EXPECT_EQ(outcomes[i].stats.heap_pushes, expected_stats[i].heap_pushes);
-    EXPECT_EQ(outcomes[i].stats.total_nodes, expected_stats[i].total_nodes);
+    ShardFrontEnd frontend(sharded_);
+    ASSERT_EQ(frontend.num_shards(), 4);
+    const std::vector<QueryOutcome> outcomes = frontend.RunBatch(requests);
+    ASSERT_EQ(outcomes.size(), requests.size());
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      EXPECT_FALSE(outcomes[i].cancelled);
+      EXPECT_FALSE(outcomes[i].rejected);
+      ExpectSameResults(expected_results[i], outcomes[i].results, "frontend");
+      EXPECT_EQ(outcomes[i].stats.nodes_accessed,
+                expected_stats[i].nodes_accessed)
+          << "query " << i;
+      EXPECT_EQ(outcomes[i].stats.heap_pushes, expected_stats[i].heap_pushes)
+          << "query " << i;
+      EXPECT_EQ(outcomes[i].stats.total_nodes, expected_stats[i].total_nodes);
+    }
+    EXPECT_EQ(frontend.completed(), static_cast<int64_t>(requests.size()));
+    EXPECT_EQ(frontend.in_flight(), 0);
   }
-  EXPECT_EQ(frontend.completed(), static_cast<int64_t>(requests.size()));
-  EXPECT_EQ(frontend.in_flight(), 0);
 }
 
-TEST_F(ShardFrontEndTest, CrossShardSharingKeepsResultsUnderLoad) {
+TEST_F(ShardFrontEndTest, ExactPolicyResultsMatchSerialScatterGather) {
   std::vector<QueryRequest> requests = MakeRequests(*store_, 16, 4, 888);
   for (QueryRequest& request : requests) {
     request.options.policy = IntegrationPolicy::kExact;
   }
-  ScatterGatherOptions sg_opt;
-  sg_opt.share_cross_shard_bounds = false;
-  const ScatterGatherSearch serial(sharded_, sg_opt);
-
-  ShardFrontEnd::Options fe_opt;
-  fe_opt.share_cross_shard_bounds = true;
-  ShardFrontEnd frontend(sharded_, fe_opt);
+  const ScatterGatherSearch serial(sharded_);
+  ShardFrontEnd frontend(sharded_);
   const std::vector<QueryOutcome> outcomes = frontend.RunBatch(requests);
   ASSERT_EQ(outcomes.size(), requests.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const std::vector<MstResult> expected =
         serial.Search(requests[i].query, requests[i].period,
                       requests[i].options);
-    ExpectSameResults(expected, outcomes[i].results, "shared frontend");
+    ExpectSameResults(expected, outcomes[i].results, "exact frontend");
   }
 }
 
@@ -564,13 +455,10 @@ TEST_F(ShardFrontEndTest, ShutdownResolvesEveryFuture) {
 }
 
 TEST_F(ShardFrontEndTest, ConcurrentSubmittersHammer) {
-  // 4 client threads × 8 queries each, all through one front-end with
-  // sharing ON — the TSan workout for the board, the per-shard queues, and
-  // the gather pipeline. Every client checks its own results against a
-  // serial oracle.
-  ScatterGatherOptions sg_opt;
-  sg_opt.share_cross_shard_bounds = false;
-  const ScatterGatherSearch serial(sharded_, sg_opt);
+  // 4 client threads × 8 queries each, all through one front-end — the
+  // TSan workout for the per-shard queues and the gather pipeline. Every
+  // client checks its own results against a serial oracle.
+  const ScatterGatherSearch serial(sharded_);
   ShardFrontEnd frontend(sharded_);
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
