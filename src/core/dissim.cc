@@ -207,11 +207,9 @@ SegmentDissim SegmentDissimCore(const Trajectory& q, const TPoint& a,
   // Called once per candidate leaf entry on the k-MST hot path. The cuts
   // are window.begin, q's samples strictly inside the window, and
   // window.end; one binary search places the query cursor and the rest is
-  // a forward walk. The per-interval integrals go through the batch kernel
-  // (bit-for-bit identical to the scalar loop, see IntegrateBatch).
-  static thread_local TrinomialBatch batch;
-  batch.Clear();
-  batch.Reserve(q.size() + 1);
+  // a forward walk. A window spans about two elementary intervals, too few
+  // to pay for filling a batch, so each integral is accumulated directly —
+  // the same sum IntegrateBatch produces, bit for bit.
   SegmentDissim out;
   PositionCursor qc(q, window.begin);
   Vec2 q_prev = qc.At(window.begin);
@@ -222,13 +220,13 @@ SegmentDissim SegmentDissimCore(const Trajectory& q, const TPoint& a,
     const double t1 = std::min(qc.SegmentEnd(), window.end);
     const Vec2 q_next = qc.At(t1);
     const Vec2 e_next = Lerp(a, b, t1);
-    batch.Add(
-        DistanceTrinomial::Between(q_prev, q_next, e_prev, e_next, t1 - t0));
+    out.integral.Accumulate(IntegrateSegment(
+        DistanceTrinomial::Between(q_prev, q_next, e_prev, e_next, t1 - t0),
+        policy));
     q_prev = q_next;
     e_prev = e_next;
     t0 = t1;
   }
-  out.integral = IntegrateBatch(batch, policy);
   out.dist_end = Distance(q_prev, e_prev);
   return out;
 }

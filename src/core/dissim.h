@@ -95,7 +95,7 @@ SegmentDissim ComputeSegmentDissim(const Trajectory& q, const LeafEntry& entry,
 /// Zero-repack variant: integrates entry `i` of a columnar leaf view over
 /// `window`, reading the segment endpoints straight out of the decoded v2
 /// page's column slices — no LeafEntry materialization between the node and
-/// the batch kernel. Bit-identical to the LeafEntry overload.
+/// the integration. Bit-identical to the LeafEntry overload.
 SegmentDissim ComputeSegmentDissim(const Trajectory& q, const LeafView& view,
                                    int i, const TimeInterval& window,
                                    IntegrationPolicy policy);

@@ -22,10 +22,12 @@ namespace mst {
 
 /// Structure-of-arrays buffer of distance trinomials over their elementary
 /// intervals. Reusable: Clear() keeps the capacity, so a thread-local batch
-/// amortizes allocation across queries. Fillers must call Reserve() with the
-/// interval count (cuts.size() is a safe upper bound) before the Add() loop —
-/// that makes even a thread's *first* leaf allocation-free past the initial
-/// reserve, instead of growing all four arrays by doubling mid-fill.
+/// amortizes allocation across queries. Fillers must call Reserve() with an
+/// upper bound of the interval count before the Add() loop (ComputeDissim
+/// passes both trajectories' sample counts), so a thread's first full-period
+/// integral grows each array once instead of by doubling mid-fill. A single
+/// segment's window has about two intervals; ComputeSegmentDissim integrates
+/// those one by one rather than through a batch.
 struct TrinomialBatch {
   std::vector<double> a;
   std::vector<double> b;

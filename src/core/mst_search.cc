@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
-#include <set>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/core/candidate.h"
+#include "src/core/upper_bounds.h"
 #include "src/geom/mindist.h"
 #include "src/util/check.h"
 
@@ -53,80 +51,15 @@ struct QueueEntry {
 };
 static_assert(sizeof(QueueEntry) == 16, "heap entries stay two words");
 
-// The "k-buffer": tracks, for every live candidate, an upper bound of its
-// true DISSIM (exact-side value for completed candidates, PESDISSIM for
-// partial ones) and answers "current kth best upper bound" queries.
-//
-// KthValue() is consulted for every processed leaf entry (Heuristic 1) and
-// on every heap pop (Heuristic 2), so the bounds are kept split into the k
-// smallest (`topk_`) and the rest, with max(topk_) <= min(rest_): the kth
-// value is then the largest element of topk_, read in O(1) instead of
-// advancing k set nodes per call.
-class UpperBounds {
- public:
-  explicit UpperBounds(int k) : k_(k) {}
-
-  void Update(TrajectoryId id, double upper) {
-    const auto it = current_.find(id);
-    if (it != current_.end()) {
-      EraseOrdered({it->second, id});
-      it->second = upper;
-    } else {
-      current_[id] = upper;
-    }
-    InsertOrdered({upper, id});
-  }
-
-  void Remove(TrajectoryId id) {
-    const auto it = current_.find(id);
-    if (it == current_.end()) return;
-    EraseOrdered({it->second, id});
-    current_.erase(it);
-  }
-
-  /// kth smallest upper bound, or +inf while fewer than k candidates exist.
-  double KthValue() const {
-    if (static_cast<int>(topk_.size()) < k_) return kInf;
-    return topk_.rbegin()->first;
-  }
-
-  size_t size() const { return current_.size(); }
-
- private:
-  using Key = std::pair<double, TrajectoryId>;
-
-  void InsertOrdered(const Key& key) {
-    if (static_cast<int>(topk_.size()) < k_) {
-      topk_.insert(key);
-      return;
-    }
-    const auto last = std::prev(topk_.end());
-    if (key < *last) {
-      rest_.insert(*last);
-      topk_.erase(last);
-      topk_.insert(key);
-    } else {
-      rest_.insert(key);
-    }
-  }
-
-  void EraseOrdered(const Key& key) {
-    const auto it = topk_.find(key);
-    if (it != topk_.end()) {
-      topk_.erase(it);
-      if (!rest_.empty()) {
-        topk_.insert(*rest_.begin());
-        rest_.erase(rest_.begin());
-      }
-    } else {
-      rest_.erase(rest_.find(key));
-    }
-  }
-
-  int k_;
-  std::set<Key> topk_;  // the k smallest bounds (all of them while < k)
-  std::set<Key> rest_;  // everything above, max(topk_) <= min(rest_)
-  std::unordered_map<TrajectoryId, double> current_;
+// Per-search state of one candidate trajectory, in a dense slot table
+// indexed in discovery order. The paper's Valid / Completed / Rejected sets
+// are the three states; rejected slots (pruned by Heuristic 1, or ineligible:
+// missing from the store or not covering the period) keep an empty list.
+// The slot index also keys the candidate's bound in the UpperBounds k-buffer.
+struct Candidate {
+  enum State : uint8_t { kValid, kCompleted, kRejected };
+  CandidateList list;
+  State state;
 };
 
 }  // namespace
@@ -192,9 +125,12 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
   // MBBs of the entries still keyed by their footprint lower bound.
   std::vector<Mbb3> boxes;
 
-  std::unordered_map<TrajectoryId, CandidateList> valid;
-  std::unordered_map<TrajectoryId, CandidateList> completed;
-  std::unordered_set<TrajectoryId> rejected;
+  // Candidates by slot, the id -> slot map (one probe per processed leaf
+  // entry), and the slots that may still be valid (Heuristic 2's scan drops
+  // the others as it meets them).
+  std::vector<Candidate> slots;
+  std::unordered_map<TrajectoryId, uint32_t> slot_of;
+  std::vector<uint32_t> open_slots;
   UpperBounds uppers(options.k);
   // The query's spatial footprint over the period keys pushed children by
   // a cheap MINDIST lower bound (FootprintMinDist).
@@ -205,8 +141,18 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
   // one search (ids only ever enter those states), so once an id skips it
   // skips for good. TB-tree leaves bundle consecutive segments of a single
   // trajectory, so remembering the last skipped id collapses a whole leaf's
-  // hash-set probes into one comparison.
+  // slot probes into one comparison.
   TrajectoryId skip_id = kInvalidTrajectoryId;
+
+  // Moves a valid candidate whose pieces now span the period to Completed;
+  // its exact-side value becomes its k-buffer bound.
+  const auto complete = [&](uint32_t slot) {
+    Candidate& c = slots[slot];
+    uppers.Update(slot, c.list.covered().value);
+    c.state = Candidate::kCompleted;
+    skip_id = c.list.id();
+    ++stats.candidates_completed;
+  };
 
   while (!queue.empty()) {
     const QueueEntry top = queue.top();
@@ -223,10 +169,17 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
       if (kth < kInf) {
         double mindissiminc = top.key * period.Duration();
         if (mindissiminc > kth) {
-          for (const auto& [id, list] : valid) {
+          for (size_t i = 0; i < open_slots.size();) {
+            const Candidate& c = slots[open_slots[i]];
+            if (c.state != Candidate::kValid) {
+              open_slots[i] = open_slots.back();
+              open_slots.pop_back();
+              continue;
+            }
             mindissiminc =
-                std::min(mindissiminc, list.OptDissimInc(top.key));
+                std::min(mindissiminc, c.list.OptDissimInc(top.key));
             if (mindissiminc <= kth) break;
+            ++i;
           }
           if (mindissiminc > kth) {
             stats.terminated_by_heuristic2 = true;
@@ -295,46 +248,44 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
         skip_id = id;
         continue;
       }
-      if (rejected.contains(id) || completed.contains(id)) {
-        skip_id = id;
-        continue;
-      }
       const TimeInterval window = period.Intersect({view.t0[j], view.t1[j]});
       if (window.Duration() <= 0.0) continue;
 
-      auto it = valid.find(id);
-      if (it == valid.end()) {
+      const auto [it, fresh] = slot_of.try_emplace(
+          id, static_cast<uint32_t>(slots.size()));
+      const uint32_t slot = it->second;
+      if (fresh) {
         const Trajectory* t = store_->Find(id);
         if (t == nullptr || !t->Covers(period)) {
-          rejected.insert(id);
-          skip_id = id;
+          slots.push_back({CandidateList(id, period), Candidate::kRejected});
           ++stats.candidates_ineligible;
-          continue;
+        } else {
+          slots.push_back({CandidateList(id, period), Candidate::kValid});
+          open_slots.push_back(slot);
+          ++stats.candidates_created;
         }
-        it = valid.emplace(id, CandidateList(id, period)).first;
-        ++stats.candidates_created;
       }
-      CandidateList& list = it->second;
+      Candidate& cand = slots[slot];
+      if (cand.state != Candidate::kValid) {
+        skip_id = id;
+        continue;
+      }
+      CandidateList& list = cand.list;
 
       const SegmentDissim seg =
           ComputeSegmentDissim(query, view, j, window, options.policy);
       list.AddPiece(window, seg.integral, seg.dist_begin, seg.dist_end);
 
       if (list.IsComplete()) {
-        uppers.Update(id, list.covered().value);
-        completed.emplace(id, std::move(list));
-        valid.erase(it);
-        skip_id = id;
-        ++stats.candidates_completed;
+        complete(slot);
         continue;
       }
-      uppers.Update(id, list.PesDissim(vmax));
+      uppers.Update(slot, list.PesDissim(vmax));
       if (options.use_heuristic1) {
         const double kth = uppers.KthValue();
         if (list.OptDissim(vmax) > kth) {
-          uppers.Remove(id);
-          rejected.insert(id);
-          valid.erase(it);
+          uppers.Remove(slot);
+          cand.state = Candidate::kRejected;
           skip_id = id;
           ++stats.candidates_rejected;
           continue;
@@ -374,11 +325,7 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
             }
           }
           if (list.IsComplete()) {
-            uppers.Update(id, list.covered().value);
-            completed.emplace(id, std::move(list));
-            valid.erase(it);
-            skip_id = id;
-            ++stats.candidates_completed;
+            complete(slot);
             ++stats.eager_completions;
           }
         }
@@ -393,16 +340,19 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
     TrajectoryId id;
     double lower;
     double upper;
-    bool complete;
+    const CandidateList* complete;  // the list of a completed candidate
   };
   std::vector<Survivor> pool;
-  pool.reserve(completed.size() + valid.size());
-  for (const auto& [id, list] : completed) {
-    pool.push_back({id, list.covered().LowerBound(), list.covered().value,
-                    true});
-  }
-  for (const auto& [id, list] : valid) {
-    pool.push_back({id, list.OptDissim(vmax), list.PesDissim(vmax), false});
+  pool.reserve(slots.size());
+  for (const Candidate& c : slots) {
+    const CandidateList& list = c.list;
+    if (c.state == Candidate::kCompleted) {
+      pool.push_back({list.id(), list.covered().LowerBound(),
+                      list.covered().value, &list});
+    } else if (c.state == Candidate::kValid) {
+      pool.push_back(
+          {list.id(), list.OptDissim(vmax), list.PesDissim(vmax), nullptr});
+    }
   }
   if (pool.empty()) {
     if (stats_out != nullptr) *stats_out = stats;
@@ -464,10 +414,9 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
       // the logical refinement count, byte-identical cache on or off (the
       // physical split is result_cache_hits/misses).
       ++stats.exact_recomputations;
-    } else if (s.complete) {
-      const CandidateList& list = completed.at(s.id);
-      r.dissim = list.covered().value;
-      r.error_bound = list.covered().error_bound;
+    } else if (s.complete != nullptr) {
+      r.dissim = s.complete->covered().value;
+      r.error_bound = s.complete->covered().error_bound;
     } else {
       // Complete the partial candidate from the trajectory table with the
       // search policy.

@@ -29,7 +29,9 @@ class MstSearchTest
  protected:
   static void SetUpTestSuite() {
     GstdOptions opt;
-    opt.num_objects = 40;
+    // Well above the largest k, so every k leaves candidates outside the
+    // k-buffer's top k and Heuristics 1 and 2 can prune.
+    opt.num_objects = 200;
     opt.samples_per_object = 120;
     opt.timestamp_jitter = 0.5;  // heterogeneous sampling
     opt.seed = 31;
@@ -190,7 +192,7 @@ INSTANTIATE_TEST_SUITE_P(
     Engines, MstSearchTest,
     ::testing::Combine(::testing::Values(IndexKind::kRTree3D,
                                          IndexKind::kTBTree),
-                       ::testing::Values(1, 3, 10)),
+                       ::testing::Values(1, 3, 10, 50)),
     [](const ::testing::TestParamInfo<std::tuple<IndexKind, int>>& info) {
       const char* tree = std::get<0>(info.param) == IndexKind::kRTree3D
                              ? "RTree3D"
